@@ -13,7 +13,6 @@ from .errors import (
     DispatchError,
     ProtocolError,
     ReplayDivergenceError,
-    StoreCorruptionError,
     TraceParseError,
     UsageError,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ShadowCondVar",
     "ShadowMutex",
     "ShadowSemaphore",
-    "StoreCorruptionError",
     "ThreadId",
     "Token",
     "Trace",

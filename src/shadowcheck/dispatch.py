@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import IO
+from dataclasses import dataclass, field, replace
+from typing import IO, Callable
 
 from .errors import DispatchError
 from .model import (
@@ -88,18 +87,6 @@ class Workload:
     points: list[BacktrackPoint] = field(default_factory=list)
 
 
-class NodeState(Enum):
-    WORKING = "working"
-    DONE = "done"
-
-
-@dataclass
-class NodeStatus:
-    node_id: int
-    state: NodeState = NodeState.WORKING
-    violations_so_far: int = 0
-
-
 def partition(points: list[BacktrackPoint], n: int) -> list[Workload]:
     """Round-robin the points (already deepest-first) over ``n`` nodes."""
     if n < 1:
@@ -119,6 +106,7 @@ def encode_report(report) -> str:
         "iterations_run": report.iterations_run,
         "bound_warnings": report.bound_warnings,
         "points_explored": report.points_explored,
+        "unfair_prunes": report.unfair_prunes,
         "violations": [
             {
                 "kind": v.kind.value,
@@ -150,6 +138,7 @@ def decode_report(text: str):
         bound_warnings=payload["bound_warnings"],
         points_explored=payload["points_explored"],
         node_id=payload["node_id"],
+        unfair_prunes=payload["unfair_prunes"],
     )
     for entry in payload["violations"]:
         race = entry["race"]
@@ -222,41 +211,25 @@ def send_workload(rfile: IO[str], wfile: IO[str], workload: Workload):
     return report
 
 
-receive_workload = serve_worker  # alias: the same exchange, seen from the receiving side
-
-
 # -- distributed check runs -------------------------------------------------------------
 
 
 def check_distributed(program, config):
     """Explore with ``config.node_count`` nodes and merge the reports.
 
-    A single node explores directly. With more, the master runs iteration
-    0, partitions the discovered points, and each worker (an in-process
-    explorer behind the real wire protocol over a socketpair) drains its
-    share independently.
+    A single node explores directly. With more, each worker is an
+    in-process explorer behind the real wire protocol over a socketpair.
     """
-    from dataclasses import replace
-
-    from .explorer import Explorer, explore
+    from .explorer import explore
 
     if config.node_count <= 1:
         return explore(program, config)
 
-    master = Explorer(program, replace(config, node_id=0))
-    points = master.explore_initial()
-    workloads = partition(points, config.node_count)
-
-    statuses = [NodeStatus(node_id=w.node_id) for w in workloads]
-    worker_reports = []
-    for workload, status in zip(workloads, statuses):
+    def link(workload: Workload):
         worker_config = replace(config, node_id=workload.node_id)
-        report = _run_worker_over_socketpair(program, worker_config, workload)
-        status.state = NodeState.DONE
-        status.violations_so_far = len(report.violations)
-        worker_reports.append(report)
+        return _run_worker_over_socketpair(program, worker_config, workload)
 
-    return _merge_reports(master, worker_reports)
+    return _run_master(program, config, config.node_count, link)
 
 
 def _run_worker_over_socketpair(program, config, workload: Workload):
@@ -264,7 +237,8 @@ def _run_worker_over_socketpair(program, config, workload: Workload):
     worker_err: list[BaseException] = []
 
     def worker_side() -> None:
-        with right.makefile("r") as rfile, right.makefile("w") as wfile:
+        # Closing this end on any exit ends the master's wait for DONE.
+        with right, right.makefile("r") as rfile, right.makefile("w") as wfile:
             try:
                 serve_worker(rfile, wfile, program, config)
             except BaseException as exc:
@@ -273,38 +247,45 @@ def _run_worker_over_socketpair(program, config, workload: Workload):
     thread = threading.Thread(target=worker_side, name=f"worker-{config.node_id}", daemon=True)
     thread.start()
     try:
-        with left.makefile("r") as rfile, left.makefile("w") as wfile:
-            report = send_workload(rfile, wfile, workload)
+        with left, left.makefile("r") as rfile, left.makefile("w") as wfile:
+            return send_workload(rfile, wfile, workload)
     finally:
         thread.join(timeout=120)
-        left.close()
-        right.close()
-    if worker_err:
-        raise DispatchError(f"worker {config.node_id} failed") from worker_err[0]
-    return report
+        if worker_err:
+            error = worker_err[0]
+            raise DispatchError(
+                f"worker {config.node_id} failed: {type(error).__name__}: {error}"
+            ) from error
 
 
 def check_remote(program, config, addresses: list[str]):
     """Like ``check_distributed`` but over TCP links to already-running workers."""
-    from dataclasses import replace
 
-    from .explorer import Explorer
-
-    master = Explorer(program, replace(config, node_id=0))
-    points = master.explore_initial()
-    workloads = partition(points, len(addresses))
-
-    worker_reports = []
-    for address, workload in zip(addresses, workloads):
+    def link(workload: Workload):
+        address = addresses[workload.node_id - 1]
         host, _, port = address.rpartition(":")
         try:
             conn = socket.create_connection((host or "127.0.0.1", int(port)))
         except OSError as exc:
             raise DispatchError(f"cannot reach worker at {address}") from exc
         with conn, conn.makefile("r") as rfile, conn.makefile("w") as wfile:
-            worker_reports.append(send_workload(rfile, wfile, workload))
+            return send_workload(rfile, wfile, workload)
 
-    return _merge_reports(master, worker_reports)
+    return _run_master(program, config, len(addresses), link)
+
+
+def _run_master(program, config, node_count: int, link: Callable[[Workload], object]):
+    """The master's side of a multi-node run.
+
+    The master runs iteration 0, partitions the points it discovered, hands
+    each node's share to ``link`` (which returns that node's report) in
+    node order, and merges the reports.
+    """
+    from .explorer import Explorer
+
+    master = Explorer(program, replace(config, node_id=0))
+    workloads = partition(master.explore_initial(), node_count)
+    return _merge_reports(master, [link(workload) for workload in workloads])
 
 
 def _merge_reports(master, worker_reports):
@@ -314,6 +295,7 @@ def _merge_reports(master, worker_reports):
         merged.iterations_run += report.iterations_run
         merged.bound_warnings += report.bound_warnings
         merged.points_explored += report.points_explored
+        merged.unfair_prunes += report.unfair_prunes
         merged.violations.extend(report.violations)
     master.sink.violations = list(merged.violations)
     master.sink.write_report()

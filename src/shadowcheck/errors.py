@@ -44,9 +44,5 @@ class ReplayDivergenceError(CheckerError):
         self.step_index = step_index
 
 
-class StoreCorruptionError(CheckerError):
-    """The backtrack store references an unreachable state."""
-
-
 class DispatchError(CheckerError):
     """A master/worker connection failed or spoke the protocol wrong."""

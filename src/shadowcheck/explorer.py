@@ -17,11 +17,18 @@ and race reports, which abort the iteration before the racing accesses
 execute and therefore bank the overlap-avoiding schedules themselves.
 With reduction disabled, every state with two or more enabled threads
 branches, which enumerates all schedules.
+
+The runner's ``ExecutionLog`` is its only per-step record: each executed
+step with the threads enabled before it. (The trace sink still keeps the
+scheduled thread ids to check them against the result.) The step hook notes
+candidates by depth alone; once the outcome allows banking, each depth's
+prefix is cut from the finished trace, which the runner builds from the
+log. The store holds ``BacktrackPoint``s keyed by (prefix, depth) and
+selects the deepest live one, ties going to the latest discovery.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -52,7 +59,6 @@ class ExplorationConfig:
     node_count: int = 1
     seed_trace: str | Path | None = None
     node_id: int = 0
-    record_state_hashes: bool = False
 
     def resolved_bound(self, program: ProgramHandle) -> int:
         if self.bound is not None:
@@ -72,32 +78,18 @@ class ExplorationReport:
     unfair_prunes: int = 0  # branches abandoned as unreachable under fair scheduling
 
 
-class _Record:
-    """Store entry: the live point plus the branches already taken."""
-
-    __slots__ = ("depth", "prefix", "pending", "done", "discovery_iteration")
-
-    def __init__(self, prefix: tuple[int, ...], depth: int, discovery_iteration: int) -> None:
-        self.prefix = prefix
-        self.depth = depth
-        self.pending: set[int] = set()
-        self.done: set[int] = set()
-        self.discovery_iteration = discovery_iteration
-
-
-def _prefix_digest(prefix: tuple[int, ...]) -> str:
-    return hashlib.sha1(",".join(map(str, prefix)).encode()).hexdigest()
-
-
 class BacktrackStore:
     """All backtrack points of one node, active and exhausted alike.
 
     Exhausted keys are kept (with empty pending sets) so a branch can
-    never be resurrected once taken.
+    never be resurrected once taken. Points are selected deepest first,
+    ties going to the latest discovery. Every point an iteration banks
+    lies on that iteration's own trace, so ``(depth, discovery_iteration)``
+    names at most one point and the order is total.
     """
 
     def __init__(self, path: Path | None = None) -> None:
-        self._records: dict[Key, _Record] = {}
+        self._records: dict[Key, BacktrackPoint] = {}
         self._path = path
 
     # -- growing ------------------------------------------------------------
@@ -111,12 +103,10 @@ class BacktrackStore:
         iteration: int,
     ) -> None:
         """A state's enabled ops still conflict; bank the untaken ones."""
-        rec = self._record(prefix, depth, iteration)
-        rec.done.add(scheduled)
-        rec.pending.discard(scheduled)
-        for tid in candidates:
-            if tid not in rec.done:
-                rec.pending.add(tid)
+        point = self._point(prefix, depth, iteration)
+        point.done.add(scheduled)
+        point.pending.discard(scheduled)
+        point.pending |= candidates - point.done
 
     def absorb_addition(
         self,
@@ -127,37 +117,25 @@ class BacktrackStore:
         iteration: int,
     ) -> None:
         """Classic look-back addition: re-run ``tid`` from this state."""
-        rec = self._record(prefix, depth, iteration)
-        rec.done.add(executed)
-        if tid not in rec.done:
-            rec.pending.add(tid)
+        point = self._point(prefix, depth, iteration)
+        point.done.add(executed)
+        if tid not in point.done:
+            point.pending.add(tid)
 
-    def _record(self, prefix: tuple[int, ...], depth: int, iteration: int) -> _Record:
+    def _point(self, prefix: tuple[int, ...], depth: int, iteration: int) -> BacktrackPoint:
         key = (prefix, depth)
-        rec = self._records.get(key)
-        if rec is None:
-            rec = _Record(prefix, depth, iteration)
-            self._records[key] = rec
-        return rec
+        point = self._records.get(key)
+        if point is None:
+            point = BacktrackPoint(depth, prefix, set(), set(), iteration)
+            self._records[key] = point
+        return point
 
     # -- shrinking -----------------------------------------------------------
 
     def select_point(self) -> BacktrackPoint | None:
-        """Deepest point; ties go to the latest-discovered one."""
-        live = [r for r in self._records.values() if r.pending]
-        if not live:
-            return None
-        best = max(
-            live,
-            key=lambda r: (r.depth, r.discovery_iteration, _prefix_digest(r.prefix)),
-        )
-        return BacktrackPoint(
-            depth=best.depth,
-            prefix=best.prefix,
-            pending=set(best.pending),
-            done=set(best.done),
-            discovery_iteration=best.discovery_iteration,
-        )
+        """Deepest live point; ties go to the latest-discovered one."""
+        live = (p for p in self._records.values() if p.pending)
+        return max(live, key=lambda p: (p.depth, p.discovery_iteration), default=None)
 
     def take_branch(self, point: BacktrackPoint, live_ops: dict[int, VisibleOp]) -> int:
         """Extract the lowest-id pending thread and re-evaluate the rest.
@@ -167,40 +145,34 @@ class BacktrackStore:
         dropped (its conflicts, if real, resurface through the look-back
         rule when they execute).
         """
-        rec = self._records[(point.prefix, point.depth)]
-        if not rec.pending:
+        point = self._records[(point.prefix, point.depth)]
+        if not point.pending:
             raise ProtocolError("branch taken on an exhausted point")
-        chosen = min(rec.pending)
-        rec.pending.discard(chosen)
-        rec.done.add(chosen)
-        if rec.pending:
-            remaining = {t: live_ops[t] for t in rec.pending if t in live_ops}
-            if len(remaining) < len(rec.pending) or not is_backtrack_point(remaining):
-                rec.pending.clear()
+        chosen = min(point.pending)
+        point.pending.discard(chosen)
+        point.done.add(chosen)
+        if point.pending:
+            remaining = {t: live_ops[t] for t in point.pending if t in live_ops}
+            if len(remaining) < len(point.pending) or not is_backtrack_point(remaining):
+                point.pending.clear()
         return chosen
 
     # -- persistence ----------------------------------------------------------
 
     def live_points(self) -> list[BacktrackPoint]:
-        pts = [
-            BacktrackPoint(
-                depth=r.depth,
-                prefix=r.prefix,
-                pending=set(r.pending),
-                done=set(r.done),
-                discovery_iteration=r.discovery_iteration,
-            )
-            for r in self._records.values()
-            if r.pending
-        ]
-        pts.sort(key=lambda p: (-p.depth, p.discovery_iteration, _prefix_digest(p.prefix)))
-        return pts
+        """The points still owed a branch: deepest first, then earliest found.
+
+        These are the store's own records, not copies; callers only read them.
+        """
+        live = [p for p in self._records.values() if p.pending]
+        live.sort(key=lambda p: (-p.depth, p.discovery_iteration))
+        return live
 
     def seed(self, points: list[BacktrackPoint]) -> None:
         for p in points:
-            rec = self._record(p.prefix, p.depth, p.discovery_iteration)
-            rec.done |= p.done
-            rec.pending |= p.pending - rec.done
+            point = self._point(p.prefix, p.depth, p.discovery_iteration)
+            point.done |= p.done
+            point.pending |= p.pending - point.done
 
     def flush(self) -> None:
         if self._path is None:
@@ -298,7 +270,7 @@ class Explorer:
         # iteration completed within the depth bound: an execution the
         # bound cut off sits at the exploration horizon, so its branch
         # points describe schedules the bound would cut off again.
-        pending_absorbs: list[tuple] = []
+        found: list[tuple[Callable, int, object]] = []
         runner = IterationRunner(
             self.program,
             iteration=iteration,
@@ -306,8 +278,7 @@ class Explorer:
             plan=plan,
             race_enabled=self.config.race_enabled,
             strict_races=self.config.strict_races,
-            step_hook=self._step_hook(iteration, pending_absorbs),
-            record_state_hashes=self.config.record_state_hashes,
+            step_hook=self._step_hook(iteration, found),
             unfair_prune=True,
         )
         result = runner.run()
@@ -331,11 +302,9 @@ class Explorer:
             IterationOutcome.LIVELOCK_CANDIDATE,
             IterationOutcome.BOUND_WARNING,
         ):
-            for kind, args in pending_absorbs:
-                if kind == "state":
-                    self.store.absorb_state(*args)
-                else:
-                    self.store.absorb_addition(*args)
+            steps = result.trace.steps
+            for absorb, depth, arg in found:
+                absorb(tuple(steps[:depth]), depth, arg, steps[depth], iteration)
         if result.outcome is IterationOutcome.DATA_RACE:
             self._absorb_race_dodges(result, iteration)
 
@@ -366,7 +335,7 @@ class Explorer:
             # Exhaustive mode branches on every multi-enabled state anyway.
             return
         steps = result.trace.steps
-        enabled = result.enabled_snapshots
+        log = result.log.steps
         readers = [(t, d) for t, d, kind in result.race_racers if kind is AccessKind.READ]
         writers = [(t, d) for t, d, kind in result.race_racers if kind is AccessKind.WRITE]
         pairs = [(r, w) for r in readers for w in writers]
@@ -374,7 +343,7 @@ class Explorer:
             pairs = [(a, b) for a in writers for b in writers if a != b]
 
         def bank(depth: int, tid: int) -> None:
-            if tid in enabled[depth]:
+            if tid in log[depth].enabled:
                 self.store.absorb_addition(
                     tuple(steps[:depth]), depth, tid, steps[depth], iteration
                 )
@@ -392,12 +361,18 @@ class Explorer:
                 bank(depth, late[0])
             # ...or hold the early announcement back: let anything else
             # enabled run ahead of the step that created it.
-            for tid in enabled[early[1]]:
+            for tid in log[early[1]].enabled:
                 if tid != steps[early[1]]:
                     bank(early[1], tid)
 
-    def _step_hook(self, iteration: int, sink: list[tuple]):
+    def _step_hook(self, iteration: int, found: list[tuple[Callable, int, object]]):
+        """Note each free step's candidates as (absorb method, depth, argument).
+
+        Only depths are kept; the prefix that names a depth's state is cut
+        from the finished trace if the iteration's points get banked.
+        """
         dpor_on = self.config.dpor_enabled
+        store = self.store
 
         def hook(
             log: ExecutionLog,
@@ -406,12 +381,10 @@ class Explorer:
             enabled: frozenset,
             mode: str,
         ) -> None:
-            self.sink.record_step(iteration, int(step.op.tid))
+            scheduled = int(step.op.tid)
+            self.sink.record_step(iteration, scheduled)
             if mode == "replay":
                 return  # the prefix was mined when it was first executed
-            depth = step.depth
-            prefix = tuple(int(s.op.tid) for s in log.steps[:depth])
-            scheduled = int(step.op.tid)
             enabled_ops = {tid: pre_ops[tid] for tid in enabled}
 
             if dpor_on:
@@ -421,12 +394,11 @@ class Explorer:
             else:
                 candidates = set()
             if scheduled in candidates:
-                sink.append(("state", (prefix, depth, candidates, scheduled, iteration)))
+                found.append((store.absorb_state, step.depth, candidates))
 
             if dpor_on:
                 for j, tid in on_execute(log, step):
-                    executed = int(log.steps[j].op.tid)
-                    sink.append(("addition", (prefix[:j], j, tid, executed, iteration)))
+                    found.append((store.absorb_addition, j, tid))
 
         return hook
 

@@ -161,10 +161,6 @@ class BacktrackPoint:
         if not self.pending:
             raise ValueError("stored point must keep a nonempty pending set")
 
-    @property
-    def key(self) -> tuple[tuple[int, ...], int]:
-        return (self.prefix, self.depth)
-
 
 class ViolationKind(Enum):
     DEADLOCK = "deadlock"

@@ -235,8 +235,9 @@ class IterationResult:
     iteration: int
     outcome: IterationOutcome
     trace: Trace
-    op_log: list[VisibleOp]
     decisions: list[Decision]
+    # The executed steps with their enabled sets; ``trace`` is its thread ids.
+    log: ExecutionLog = field(default_factory=ExecutionLog)
     race_detail: RaceDetail | None = None
     terminal_cells: tuple[int, ...] | None = None
     state_hashes: list[str] = field(default_factory=list)
@@ -244,8 +245,11 @@ class IterationResult:
     # (tid, trace depth when announced, access kind). Used to bank the
     # schedules that retire one racer before the other is announced.
     race_racers: list[tuple[int, int, AccessKind]] = field(default_factory=list)
-    # Enabled-thread snapshot at each executed step's pre-state.
-    enabled_snapshots: list[frozenset] = field(default_factory=list)
+
+    @property
+    def op_log(self) -> list[VisibleOp]:
+        """The executed operations in order, read off the log."""
+        return [step.op for step in self.log.steps]
 
 
 class IterationRunner:
@@ -279,6 +283,7 @@ class IterationRunner:
         self.api = Api(self.ctx)
         self.scheduler = Scheduler()
         self.log = ExecutionLog()
+        self.state_hashes: list[str] = []
         # tid -> (consecutive recorded steps spent ready-but-unscheduled,
         #         fairness window ratcheted to 2 x the largest live count seen)
         self._streaks: dict[int, tuple[int, int]] = {}
@@ -294,10 +299,7 @@ class IterationRunner:
     def _run(self) -> IterationResult:
         ctx = self.ctx
         sch = self.scheduler
-        trace = Trace(steps=[], iteration=self.iteration)
-        self._trace = trace
-        op_log: list[VisibleOp] = []
-        state_hashes: list[str] = []
+        log = self.log
 
         sch.add_thread(0)
         ctx.start_main(self.program.entry)
@@ -310,9 +312,7 @@ class IterationRunner:
             if ctx.failure is not None:
                 raise ctx.failure
             if self._race_fired():
-                return self._finish(
-                    trace, op_log, state_hashes, IterationOutcome.DATA_RACE
-                )
+                return self._finish(IterationOutcome.DATA_RACE)
             if branch_pending and not sch.replaying:
                 forced = self.plan.pick_branch(sch.pending_ops())
                 sch.force_next(forced)
@@ -320,11 +320,9 @@ class IterationRunner:
 
             decision = sch.pick_next()
             if decision is NORMAL_END:
-                return self._finish(
-                    trace, op_log, state_hashes, IterationOutcome.NORMAL_END
-                )
+                return self._finish(IterationOutcome.NORMAL_END)
             if decision is DEADLOCK:
-                return self._finish(trace, op_log, state_hashes, IterationOutcome.DEADLOCK)
+                return self._finish(IterationOutcome.DEADLOCK)
 
             tid = decision
             mode = sch.decisions[-1].mode
@@ -340,30 +338,22 @@ class IterationRunner:
             if not progressed:
                 continue  # the try failed; nothing happened
 
-            trace.steps.append(tid)
-            op_log.append(granted_op)
-            step = self.log.append(granted_op, enabled)
+            step = log.append(granted_op, enabled)
             if self.record_state_hashes:
-                state_hashes.append(ctx.state_digest())
+                self.state_hashes.append(ctx.state_digest())
             if self.step_hook is not None:
-                self.step_hook(self.log, step, pre_ops, enabled, mode)
+                self.step_hook(log, step, pre_ops, enabled, mode)
             if self._update_streaks(tid, pre_ops, enabled, mode):
-                return self._finish(
-                    trace, op_log, state_hashes, IterationOutcome.UNFAIR_STOP
-                )
+                return self._finish(IterationOutcome.UNFAIR_STOP)
 
-            if check_bound(len(trace.steps), self.bound) is BoundCheck.EXCEEDED:
+            if check_bound(len(log), self.bound) is BoundCheck.EXCEEDED:
                 live = sch.live_tids()
                 if not live:
                     continue  # the tripping step completed the program
                 live_ready = {t: self._ready(t) for t in live}
-                if classify_overrun(trace, live_ready):
-                    return self._finish(
-                        trace, op_log, state_hashes, IterationOutcome.LIVELOCK_CANDIDATE
-                    )
-                return self._finish(
-                    trace, op_log, state_hashes, IterationOutcome.BOUND_WARNING
-                )
+                if classify_overrun(self._trace(), live_ready):
+                    return self._finish(IterationOutcome.LIVELOCK_CANDIDATE)
+                return self._finish(IterationOutcome.BOUND_WARNING)
 
     # A branch is abandoned once it starves a ready operation this many
     # fairness windows in a row. Bounded delays (waiting out another
@@ -433,7 +423,7 @@ class IterationRunner:
                 sch.add_thread(msg[1])
             elif kind == "announce":
                 tid, op = msg[1], msg[2]
-                ctx.hosts[tid].announced_at = len(self._trace.steps)
+                ctx.hosts[tid].announced_at = len(self.log)
                 if tid == granted:
                     self._note_progress(tid, granted_waiting)
                     sch.on_announce(tid, op)
@@ -468,13 +458,10 @@ class IterationRunner:
         else:
             self.scheduler.on_nonblocking_complete(tid)
 
-    def _finish(
-        self,
-        trace: Trace,
-        op_log: list[VisibleOp],
-        state_hashes: list[str],
-        outcome: IterationOutcome,
-    ) -> IterationResult:
+    def _trace(self) -> Trace:
+        return Trace(steps=[int(s.op.tid) for s in self.log.steps], iteration=self.iteration)
+
+    def _finish(self, outcome: IterationOutcome) -> IterationResult:
         race_detail = self.ctx.race.fired if self.ctx.race is not None else None
         terminal = None
         if outcome is IterationOutcome.NORMAL_END:
@@ -489,12 +476,11 @@ class IterationRunner:
         return IterationResult(
             iteration=self.iteration,
             outcome=outcome,
-            trace=trace,
-            op_log=op_log,
+            trace=self._trace(),
             decisions=list(self.scheduler.decisions),
+            log=self.log,
             race_detail=race_detail,
             terminal_cells=terminal,
-            state_hashes=state_hashes,
+            state_hashes=self.state_hashes,
             race_racers=racers,
-            enabled_snapshots=[s.enabled for s in self.log.steps],
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shadowcheck import BacktrackPoint, DispatchError, ViolationKind
+from shadowcheck import Api, BacktrackPoint, DispatchError, ProgramHandle, ViolationKind
 from shadowcheck.corpus import get_program
 from shadowcheck.dispatch import (
     Workload,
@@ -89,10 +89,13 @@ def test_decode_rejects_malformed_records():
 
 
 def test_report_codec_round_trip(tmp_path):
-    original = explore(get_program("deadlock-two-mutexes"), ExplorationConfig(out_dir=tmp_path))
+    original = explore(get_program("spin-flag"), ExplorationConfig(out_dir=tmp_path))
+    assert original.unfair_prunes > 0
     decoded = decode_report(encode_report(original))
     assert decoded.iterations_run == original.iterations_run
     assert decoded.points_explored == original.points_explored
+    assert decoded.bound_warnings == original.bound_warnings
+    assert decoded.unfair_prunes == original.unfair_prunes
     assert [(v.kind, tuple(v.trace.steps)) for v in decoded.violations] == [
         (v.kind, tuple(v.trace.steps)) for v in original.violations
     ]
@@ -186,3 +189,49 @@ def test_worker_trace_files_carry_the_node_prefix(tmp_path):
     ]
     for name in worker_files:
         assert (tmp_path / "traces" / name).exists()
+
+
+def test_unfair_prunes_add_up_across_nodes(tmp_path):
+    program = get_program("spin-flag")
+    single = check_distributed(program, ExplorationConfig(out_dir=tmp_path / "n1", node_count=1))
+    double = check_distributed(program, ExplorationConfig(out_dir=tmp_path / "n2", node_count=2))
+    assert double.iterations_run == single.iterations_run
+    assert double.unfair_prunes == single.unfair_prunes == 1
+
+
+class _ReadOne(Exception):
+    pass
+
+
+def _fails_when_two_writes_first(api: Api) -> None:
+    cell = api.register_shared(0)
+    t1 = api.spawn_thread(lambda a: a.write(cell, 1))
+    t2 = api.spawn_thread(lambda a: a.write(cell, 2))
+    api.join(t1)
+    api.join(t2)
+    if api.read(cell) == 1:
+        raise _ReadOne("read 1")
+
+
+def test_a_failing_worker_raises_instead_of_hanging(tmp_path):
+    program = ProgramHandle(name="read-one", entry=_fails_when_two_writes_first)
+    with pytest.raises(_ReadOne):
+        explore(program, ExplorationConfig(out_dir=tmp_path / "n1"))
+
+    outcome = {}
+
+    def run() -> None:
+        try:
+            check_distributed(program, ExplorationConfig(out_dir=tmp_path / "n2", node_count=2))
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    # A regression hangs; the daemon thread turns that into a failure.
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "check_distributed hung on a failing worker"
+    error = outcome.get("error")
+    assert isinstance(error, DispatchError)
+    assert "worker 1" in str(error)
+    assert isinstance(error.__cause__, _ReadOne)

@@ -19,7 +19,6 @@ def result_with(outcome, steps, iteration=0, race_detail=None):
         iteration=iteration,
         outcome=outcome,
         trace=Trace(steps=list(steps), iteration=iteration),
-        op_log=[],
         decisions=[],
         race_detail=race_detail,
     )
