@@ -232,11 +232,9 @@ class Explorer:
             if point is None:
                 break
             iteration += 1
-            chosen_box: list[int] = []
 
             def pick_branch(live_ops: dict[int, VisibleOp]) -> int:
                 tid = self.store.take_branch(point, live_ops)
-                chosen_box.append(tid)
                 self.report.points_explored += 1
                 return tid
 

@@ -48,14 +48,6 @@ class IdentityTable:
         except KeyError:
             raise UsageError(f"unknown handle: {handle!r}") from None
 
-    @property
-    def thread_count(self) -> int:
-        return self._next_tid
-
-    @property
-    def object_count(self) -> int:
-        return self._next_oid
-
     def handles(self) -> list[Any]:
         """Registered handles in registration (= ObjectId) order."""
         return list(self._handles)

@@ -1,32 +1,33 @@
 """One controlled execution of a program under test.
 
-Program threads are real threads, but the permit protocol serializes
-them: a thread runs only between receiving a grant and sending its next
-boundary message (its next announcement, a yield, or its end), so at most
-one program thread executes between two scheduler decisions. The runner
-thread makes every scheduling decision and is parked whenever a program
-thread runs; program threads touch checker-side structures (registry,
-race counters) only while they hold the permit, so nothing here needs a
-lock.
+Program threads are real threads, but control is handed from one thread
+to the next, so at most one of them runs at a time. The runner thread
+makes every scheduling decision: it opens the chosen thread's permit gate
+and waits on its own gate. The granted thread performs its operation and
+runs on to its next boundary (its next announcement, a failed try, or
+its end). There, still in control, it records the boundary in the
+scheduler itself and opens the gate of whoever handed it control, then
+waits on its permit again. Program threads touch checker-side structures
+(scheduler, registry, race counters) only while they are in control, so
+nothing here needs a lock beyond the gates.
 
-The main thread starts with an implicit permit: it runs its prologue
-(registrations, up to its first announcement) before the first decision.
-A spawned thread starts inside its spawner's partition and parks at its
-own first announcement before the spawner continues, which pins identity
-assignment and message order to the schedule.
+The main thread starts in control: it runs its prologue (registrations,
+up to its first announcement) before the first decision. A spawned
+thread starts inside its spawner's partition: the spawner waits on its
+own permit, and the child's first boundary opens that permit instead of
+the runner's gate. That pins identity assignment and announcement order
+to the schedule.
 """
 
 from __future__ import annotations
 
-import hashlib
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .dpor import ExecutedStep, ExecutionLog
 from .errors import CheckerStoppedError, ProtocolError
-from .model import AccessKind, ObjectId, RaceDetail, Token, Trace, VisibleOp
+from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
 from .race import RaceDetector
 from .registry import IdentityTable
 from .scheduler import (
@@ -36,6 +37,7 @@ from .scheduler import (
     Decision,
     IterationOutcome,
     Scheduler,
+    ThreadState,
     check_bound,
     classify_overrun,
 )
@@ -46,16 +48,23 @@ class _IterationAbort(BaseException):
     """Unwinds a program thread when its iteration is torn down."""
 
 
+def _closed_gate() -> threading.Lock:
+    gate = threading.Lock()
+    gate.acquire()
+    return gate
+
+
 @dataclass
 class _Host:
     """Checker-side handle for one program thread."""
 
     tid: int
+    # Opened at this thread's next boundary: its spawner's permit until the
+    # thread first parks, the runner's gate from then on.
+    hand_back: threading.Lock
     thread: threading.Thread | None = None
-    permit: threading.Event = field(default_factory=threading.Event)
-    started: threading.Event = field(default_factory=threading.Event)
+    permit: threading.Lock = field(default_factory=_closed_gate)
     waiting: _WaitingOp | None = None
-    ended: bool = False
     announced_at: int = 0  # trace depth current at the last announcement
 
 
@@ -64,12 +73,14 @@ class ExecutionContext:
 
     def __init__(self, runner: "IterationRunner") -> None:
         self._runner = runner
-        self.queue: queue.SimpleQueue = queue.SimpleQueue()
+        self.scheduler = runner.scheduler
+        self.log = runner.log
         self.race = RaceDetector(strict=runner.strict_races) if runner.race_enabled else None
         self.registry = IdentityTable(
             on_cell_registered=self.race.on_register if self.race else None
         )
         self.hosts: dict[int, _Host] = {}
+        self.runner_gate = _closed_gate()
         self.aborted = False
         self.failure: BaseException | None = None
         self._tls = threading.local()
@@ -99,56 +110,95 @@ class ExecutionContext:
         return tid in self.hosts
 
     def thread_ended(self, tid: int) -> bool:
-        return self.hosts[tid].ended
+        return self.scheduler.status_of(tid).state is ThreadState.ENDED
 
     def visible_nonblocking(self, op: VisibleOp, effect: Callable[[], Any]) -> Any:
         host = self._current_host()
         host.waiting = None
         self._park(host, op)
-        return effect()
+        result = effect()
+        self.scheduler.on_nonblocking_complete(host.tid)
+        return result
 
     def visible_waiting(self, op: VisibleOp, wop: _WaitingOp) -> None:
         host = self._current_host()
         host.waiting = wop
         self._park(host, op)
-        while True:
-            if wop.attempt():
-                host.waiting = None
-                return
-            self._send(host, ("yield", host.tid))
+        while not wop.attempt():
+            self._boundary(host, self.scheduler.on_yield)
             self._wait_permit(host)
+        host.waiting = None
+        self.scheduler.on_pass(host.tid)
 
     def spawn_child(self, body: Callable[[Api], None]) -> int:
-        """Runs inside the spawner's permit window."""
+        """Runs inside the spawner's partition; returns once the child parks."""
         self.check_alive()
+        spawner = self._current_host()
         tid = int(self.registry.register_thread())
-        host = _Host(tid=tid)
-        self.hosts[tid] = host
-        self.queue.put(("spawned", tid))
-        host.thread = threading.Thread(
-            target=self._thread_main, args=(host, body), name=f"prog-{tid}", daemon=True
-        )
-        host.thread.start()
-        if not host.started.wait(timeout=self._runner.hang_timeout):
-            raise ProtocolError(f"spawned thread {tid} never reached a boundary")
+        self._start(_Host(tid=tid, hand_back=spawner.permit), body)
+        self._wait_permit(spawner)
         return tid
+
+    # -- called from the runner thread ---------------------------------------------
+
+    def start_main(self, entry: Callable[[Api], None]) -> None:
+        """Start the main thread (always tid 0) and wait for its first boundary."""
+        tid = int(self.registry.register_thread())
+        self._start(_Host(tid=tid, hand_back=self.runner_gate), entry)
+        self._await_boundary()
+
+    def grant(self, tid: int) -> None:
+        """Hand control to ``tid`` and wait until it reaches a boundary."""
+        self.hosts[tid].permit.release()
+        self._await_boundary()
+
+    def shutdown(self) -> None:
+        # Parked threads wake on the permit, see the abort flag, and
+        # unwind; a thread stuck in user code outside the API cannot be
+        # recovered and is left behind as a daemon.
+        self.aborted = True
+        for host in self.hosts.values():
+            if host.permit.locked():
+                host.permit.release()
+        for host in self.hosts.values():
+            if host.thread is not None and host.thread is not threading.current_thread():
+                host.thread.join(timeout=5.0)
 
     # -- plumbing -----------------------------------------------------------------
 
+    def _start(self, host: _Host, body: Callable[[Api], None]) -> None:
+        self.hosts[host.tid] = host
+        self.scheduler.add_thread(host.tid)
+        host.thread = threading.Thread(
+            target=self._thread_main, args=(host, body), name=f"prog-{host.tid}", daemon=True
+        )
+        host.thread.start()
+
+    def _await_boundary(self) -> None:
+        if not self.runner_gate.acquire(timeout=self._runner.hang_timeout):
+            raise ProtocolError(
+                "program made no progress (a thread is busy outside the shadow API?)"
+            )
+        if self.failure is not None:
+            raise self.failure
+
     def _park(self, host: _Host, op: VisibleOp) -> None:
-        self._send(host, ("announce", host.tid, op))
+        host.announced_at = len(self.log)
+        self._boundary(host, self.scheduler.on_announce, op)
         self._wait_permit(host)
 
-    def _wait_permit(self, host: _Host) -> None:
-        host.permit.wait()
-        host.permit.clear()
+    def _boundary(self, host: _Host, note: Callable[..., None], *args: Any) -> None:
+        """Record a boundary in the scheduler and return control; not after teardown."""
         if self.aborted:
             raise _IterationAbort()
+        note(host.tid, *args)
+        gate, host.hand_back = host.hand_back, self.runner_gate
+        gate.release()
 
-    def _send(self, host: _Host, msg: tuple) -> None:
-        self.queue.put(msg)
-        if not host.started.is_set():
-            host.started.set()
+    def _wait_permit(self, host: _Host) -> None:
+        host.permit.acquire()
+        if self.aborted:
+            raise _IterationAbort()
 
     def _current_host(self) -> _Host:
         host = getattr(self._tls, "host", None)
@@ -160,56 +210,16 @@ class ExecutionContext:
         self._tls.host = host
         try:
             body(self._runner.api)
+            self._boundary(host, self.scheduler.on_end)
         except _IterationAbort:
             pass
         except BaseException as exc:  # report program bugs with context
-            self._send(host, ("error", host.tid, exc))
-        else:
-            host.ended = True
-            self._send(host, ("end", host.tid))
-
-    def start_main(self, entry: Callable[[Api], None]) -> None:
-        tid = int(self.registry.register_thread())  # main is always 0
-        host = _Host(tid=tid)
-        host.permit.set()  # implicit permit: the prologue runs ungated
-        self.hosts[tid] = host
-        host.thread = threading.Thread(
-            target=self._main_thread, args=(host, entry), name="prog-main", daemon=True
-        )
-        host.thread.start()
-
-    def _main_thread(self, host: _Host, entry: Callable[[Api], None]) -> None:
-        self._tls.host = host
-        host.permit.wait()
-        host.permit.clear()
-        self._thread_main(host, entry)
-
-    def state_digest(self) -> str:
-        """Hash of all shadow-object state, in object-id order."""
-        parts: list[str] = []
-        for handle in self.registry.handles():
-            if isinstance(handle, SharedCell):
-                parts.append(f"c{int(handle.oid)}={handle.value}")
-            elif hasattr(handle, "holder"):
-                parts.append(f"m{int(handle.oid)}={handle.holder}")
-            elif hasattr(handle, "count"):
-                parts.append(f"s{int(handle.oid)}={handle.count}")
-            else:
-                parts.append(
-                    f"v{int(handle.oid)}={handle.signal_flag},{handle.waiters}"
-                )
-        return hashlib.sha1(";".join(parts).encode()).hexdigest()
-
-    def shutdown(self) -> None:
-        # Parked threads wake on the permit, see the abort flag, and
-        # unwind; a thread stuck in user code outside the API cannot be
-        # recovered and is left behind as a daemon.
-        self.aborted = True
-        for host in self.hosts.values():
-            host.permit.set()
-        for host in self.hosts.values():
-            if host.thread is not None and host.thread is not threading.current_thread():
-                host.thread.join(timeout=5.0)
+            if not self.aborted:
+                # This thread was the only one running, so the runner is
+                # waiting on its gate; it raises the failure. A spawner
+                # waiting for this child stays parked until teardown.
+                self.failure = exc
+                self.runner_gate.release()
 
 
 @dataclass
@@ -240,7 +250,6 @@ class IterationResult:
     log: ExecutionLog = field(default_factory=ExecutionLog)
     race_detail: RaceDetail | None = None
     terminal_cells: tuple[int, ...] | None = None
-    state_hashes: list[str] = field(default_factory=list)
     # Threads whose access on the racing object was pending at the abort:
     # (tid, trace depth when announced, access kind). Used to bank the
     # schedules that retire one racer before the other is announced.
@@ -265,7 +274,6 @@ class IterationRunner:
         race_enabled: bool = True,
         strict_races: bool = False,
         step_hook: StepHook | None = None,
-        record_state_hashes: bool = False,
         unfair_prune: bool = False,
         hang_timeout: float = 30.0,
     ) -> None:
@@ -276,14 +284,12 @@ class IterationRunner:
         self.race_enabled = race_enabled
         self.strict_races = strict_races
         self.step_hook = step_hook
-        self.record_state_hashes = record_state_hashes
         self.unfair_prune = unfair_prune
         self.hang_timeout = hang_timeout
-        self.ctx = ExecutionContext(self)
-        self.api = Api(self.ctx)
         self.scheduler = Scheduler()
         self.log = ExecutionLog()
-        self.state_hashes: list[str] = []
+        self.ctx = ExecutionContext(self)
+        self.api = Api(self.ctx)
         # tid -> (consecutive recorded steps spent ready-but-unscheduled,
         #         fairness window ratcheted to 2 x the largest live count seen)
         self._streaks: dict[int, tuple[int, int]] = {}
@@ -301,16 +307,12 @@ class IterationRunner:
         sch = self.scheduler
         log = self.log
 
-        sch.add_thread(0)
         ctx.start_main(self.program.entry)
-        self._pump(granted=None)  # wait for main's first boundary
         if self.plan.replay:
             sch.begin_replay(self.plan.replay)
         branch_pending = self.plan.pick_branch is not None
 
         while True:
-            if ctx.failure is not None:
-                raise ctx.failure
             if self._race_fired():
                 return self._finish(IterationOutcome.DATA_RACE)
             if branch_pending and not sch.replaying:
@@ -328,19 +330,11 @@ class IterationRunner:
             mode = sch.decisions[-1].mode
             pre_ops = sch.pending_ops()
             enabled = frozenset(t for t in pre_ops if self._ready(t))
-            granted_op = pre_ops[tid]
-
-            host = ctx.hosts[tid]
-            host.permit.set()
-            progressed = self._pump(
-                granted=tid, granted_waiting=granted_op.token is Token.WAITING
-            )
-            if not progressed:
+            ctx.grant(tid)
+            if sch.status_of(tid).state is ThreadState.YIELDED:
                 continue  # the try failed; nothing happened
 
-            step = log.append(granted_op, enabled)
-            if self.record_state_hashes:
-                self.state_hashes.append(ctx.state_digest())
+            step = log.append(pre_ops[tid], enabled)
             if self.step_hook is not None:
                 self.step_hook(log, step, pre_ops, enabled, mode)
             if self._update_streaks(tid, pre_ops, enabled, mode):
@@ -391,72 +385,12 @@ class IterationRunner:
         return unfair and self.unfair_prune and mode != "replay"
 
     def _ready(self, tid: int) -> bool:
-        """Could this thread's pending operation progress right now?"""
-        host = self.ctx.hosts[tid]
-        if host.ended:
-            return False
-        if host.waiting is None:
-            return True
-        return bool(host.waiting.ready())
+        """Could this live thread's pending operation progress right now?"""
+        waiting = self.ctx.hosts[tid].waiting
+        return waiting is None or bool(waiting.ready())
 
     def _race_fired(self) -> bool:
         return self.ctx.race is not None and self.ctx.race.fired is not None
-
-    def _pump(self, granted: int | None, granted_waiting: bool = False) -> bool:
-        """Consume messages until the granted thread parks again.
-
-        Returns True when the grant progressed (the thread announced its
-        next operation or ended), False when it yielded. With no grant
-        outstanding, waits for the main thread's first boundary.
-        """
-        ctx = self.ctx
-        sch = self.scheduler
-        while True:
-            try:
-                msg = ctx.queue.get(timeout=self.hang_timeout)
-            except queue.Empty:
-                raise ProtocolError(
-                    "program made no progress (a thread is busy outside the shadow API?)"
-                ) from None
-            kind = msg[0]
-            if kind == "spawned":
-                sch.add_thread(msg[1])
-            elif kind == "announce":
-                tid, op = msg[1], msg[2]
-                ctx.hosts[tid].announced_at = len(self.log)
-                if tid == granted:
-                    self._note_progress(tid, granted_waiting)
-                    sch.on_announce(tid, op)
-                    return True
-                sch.on_announce(tid, op)
-                if granted is None:
-                    return True
-            elif kind == "end":
-                tid = msg[1]
-                if tid == granted:
-                    self._note_progress(tid, granted_waiting)
-                    sch.on_end(tid)
-                    return True
-                sch.on_end(tid)
-                if granted is None:
-                    return True
-            elif kind == "yield":
-                tid = msg[1]
-                if tid != granted:
-                    raise ProtocolError(f"yield from non-granted thread {tid}")
-                sch.on_yield(tid)
-                return False
-            elif kind == "error":
-                ctx.failure = msg[2]
-                raise msg[2]
-            else:
-                raise ProtocolError(f"unknown runtime message {msg!r}")
-
-    def _note_progress(self, tid: int, granted_waiting: bool) -> None:
-        if granted_waiting:
-            self.scheduler.on_pass(tid)
-        else:
-            self.scheduler.on_nonblocking_complete(tid)
 
     def _trace(self) -> Trace:
         return Trace(steps=[int(s.op.tid) for s in self.log.steps], iteration=self.iteration)
@@ -481,6 +415,5 @@ class IterationRunner:
             log=self.log,
             race_detail=race_detail,
             terminal_cells=terminal,
-            state_hashes=self.state_hashes,
             race_racers=racers,
         )

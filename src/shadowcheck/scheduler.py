@@ -66,7 +66,6 @@ class ThreadStatus:
     pending_op: VisibleOp | None = None
     priority: int = 0
     hunger: int = 0
-    yields_since_progress: int = 0
 
 
 @dataclass
@@ -122,8 +121,6 @@ class Scheduler:
         """The granted waiting operation succeeded."""
         if self._granted != tid:
             raise ProtocolError(f"pass from thread {tid} without the permit")
-        status = self._status(tid)
-        status.yields_since_progress = 0
         self._note_progress(tid)
 
     def on_yield(self, tid: int) -> None:
@@ -133,7 +130,6 @@ class Scheduler:
         self._granted = None
         status = self._status(tid)
         status.state = ThreadState.YIELDED
-        status.yields_since_progress += 1
         live_priorities = [
             t.priority for t in self._threads.values() if t.state is not ThreadState.ENDED
         ]

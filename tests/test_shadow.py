@@ -12,6 +12,22 @@ def run_once(entry, **kwargs):
     return IterationRunner(ProgramHandle(name="t", entry=entry), **kwargs).run()
 
 
+def run_recording_states(entry, **kwargs):
+    """Run once; also return every shadow object's fields after each executed step."""
+    states = []
+
+    def record(*_):
+        states.append(
+            [
+                tuple(getattr(h, slot) for slot in type(h).__slots__ if slot != "_ctx")
+                for h in runner.ctx.registry.handles()
+            ]
+        )
+
+    runner = IterationRunner(ProgramHandle(name="t", entry=entry), step_hook=record, **kwargs)
+    return runner.run(), states
+
+
 def explore_all(entry, tmp_path, **kwargs):
     results = []
     report = explore(
@@ -44,15 +60,13 @@ def test_replayed_execution_assigns_identical_ids():
         for tid in tids:
             api.join(tid)
 
-    first = run_once(entry, record_state_hashes=True)
-    second = IterationRunner(
-        ProgramHandle(name="t", entry=entry),
-        plan=SchedulePlan(replay=list(first.trace.steps)),
-        record_state_hashes=True,
-    ).run()
+    first, first_states = run_recording_states(entry)
+    second, second_states = run_recording_states(
+        entry, plan=SchedulePlan(replay=list(first.trace.steps))
+    )
     assert first.trace.steps == second.trace.steps
     assert first.op_log == second.op_log
-    assert first.state_hashes == second.state_hashes  # (op, state-hash) pairs match
+    assert first_states == second_states  # (op, state) pairs match
 
 
 def test_registration_order_gives_dense_object_ids():
@@ -323,7 +337,7 @@ def test_two_waiters_one_signal_releases_exactly_one(tmp_path):
 
 def test_failed_try_leaves_shadow_state_unchanged():
     # A waiting operation that yields must not move any shadow fields:
-    # observable as identical state hashes for the same schedule even
+    # observable as identical shadow states for the same schedule even
     # though the losing thread was granted (and failed) in between.
     def entry(api: Api) -> None:
         m = api.new_mutex()
@@ -339,8 +353,8 @@ def test_failed_try_leaves_shadow_state_unchanged():
         api.mutex_unlock(m)
         api.join(tid)
 
-    first = run_once(entry, record_state_hashes=True)
-    second = run_once(entry, record_state_hashes=True)
+    first, first_states = run_recording_states(entry)
+    second, second_states = run_recording_states(entry)
     assert first.outcome is IterationOutcome.NORMAL_END
-    assert first.state_hashes == second.state_hashes
+    assert first_states == second_states
     assert first.trace.steps == second.trace.steps
