@@ -29,6 +29,7 @@ selects the deepest live one, ties going to the latest discovery.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -177,8 +178,13 @@ class BacktrackStore:
     def flush(self) -> None:
         if self._path is None:
             return
-        lines = [_codec.encode_point(p) for p in self.live_points()]
-        self._path.write_text("".join(line + "\n" for line in lines))
+        data = "".join(_codec.encode_point(p) + "\n" for p in self.live_points()).encode()
+        # Rewritten in place and cut to length after, not truncated on
+        # open: on ext4, truncating a non-empty file to zero makes the
+        # next close() start writeback, and this runs every iteration.
+        with open(os.open(self._path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+            out.write(data)
+            out.truncate()
 
     def load(self) -> None:
         if self._path is None or not self._path.exists():

@@ -9,7 +9,10 @@ its end). There, still in control, it records the boundary in the
 scheduler itself and opens the gate of whoever handed it control, then
 waits on its permit again. Program threads touch checker-side structures
 (scheduler, registry, race counters) only while they are in control, so
-nothing here needs a lock beyond the gates.
+nothing here needs a lock beyond the gates. A program thread counts its
+completed cell accesses itself but only queues the ones it announces; the
+runner feeds those to the race detector when it has control back, in
+announcement order, so a race always fires on the runner thread.
 
 The main thread starts in control: it runs its prologue (registrations,
 up to its first announcement) before the first decision. A spawned
@@ -17,6 +20,12 @@ thread starts inside its spawner's partition: the spawner waits on its
 own permit, and the child's first boundary opens that permit instead of
 the runner's gate. That pins identity assignment and announcement order
 to the schedule.
+
+Program threads run on a process-wide pool of parked OS threads, so an
+iteration starts an OS thread only when no pooled one is idle. Teardown
+wakes every thread that has handed control back and waits until its
+worker is idle again. A thread stuck outside the shadow API is not waited
+for: it unwinds at its next boundary and rejoins the pool then.
 """
 
 from __future__ import annotations
@@ -62,8 +71,12 @@ class _Host:
     # Opened at this thread's next boundary: its spawner's permit until the
     # thread first parks, the runner's gate from then on.
     hand_back: threading.Lock
-    thread: threading.Thread | None = None
     permit: threading.Lock = field(default_factory=_closed_gate)
+    # Opened by the pool worker once this thread's body has returned.
+    finished: threading.Lock = field(default_factory=_closed_gate)
+    # Set before this thread hands control back, cleared when it is granted
+    # again: teardown wakes the parked threads and waits until they finish.
+    parked: bool = False
     waiting: _WaitingOp | None = None
     announced_at: int = 0  # trace depth current at the last announcement
 
@@ -81,6 +94,8 @@ class ExecutionContext:
         )
         self.hosts: dict[int, _Host] = {}
         self.runner_gate = _closed_gate()
+        # Accesses announced since the runner last had control, in order.
+        self.announced: list[tuple[ObjectId, AccessKind]] = []
         self.aborted = False
         self.failure: BaseException | None = None
         self._tls = threading.local()
@@ -100,7 +115,7 @@ class ExecutionContext:
 
     def race_pending(self, oid: ObjectId, kind: AccessKind) -> None:
         if self.race is not None:
-            self.race.on_pending(oid, kind)
+            self.announced.append((oid, kind))
 
     def race_complete(self, oid: ObjectId, kind: AccessKind) -> None:
         if self.race is not None:
@@ -135,6 +150,7 @@ class ExecutionContext:
         self.check_alive()
         spawner = self._current_host()
         tid = int(self.registry.register_thread())
+        spawner.parked = True
         self._start(_Host(tid=tid, hand_back=spawner.permit), body)
         self._wait_permit(spawner)
         return tid
@@ -154,25 +170,22 @@ class ExecutionContext:
 
     def shutdown(self) -> None:
         # Parked threads wake on the permit, see the abort flag, and
-        # unwind; a thread stuck in user code outside the API cannot be
-        # recovered and is left behind as a daemon.
+        # unwind. A thread stuck in user code outside the API is not
+        # waited for; it unwinds at its next boundary.
         self.aborted = True
-        for host in self.hosts.values():
+        parked = [host for host in self.hosts.values() if host.parked]
+        for host in parked:
             if host.permit.locked():
                 host.permit.release()
-        for host in self.hosts.values():
-            if host.thread is not None and host.thread is not threading.current_thread():
-                host.thread.join(timeout=5.0)
+        for host in parked:
+            host.finished.acquire(timeout=self._runner.hang_timeout)
 
     # -- plumbing -----------------------------------------------------------------
 
     def _start(self, host: _Host, body: Callable[[Api], None]) -> None:
         self.hosts[host.tid] = host
         self.scheduler.add_thread(host.tid)
-        host.thread = threading.Thread(
-            target=self._thread_main, args=(host, body), name=f"prog-{host.tid}", daemon=True
-        )
-        host.thread.start()
+        _POOL.run(self, host, body)
 
     def _await_boundary(self) -> None:
         if not self.runner_gate.acquire(timeout=self._runner.hang_timeout):
@@ -181,6 +194,9 @@ class ExecutionContext:
             )
         if self.failure is not None:
             raise self.failure
+        for oid, kind in self.announced:
+            self.race.on_pending(oid, kind)
+        self.announced.clear()
 
     def _park(self, host: _Host, op: VisibleOp) -> None:
         host.announced_at = len(self.log)
@@ -192,11 +208,13 @@ class ExecutionContext:
         if self.aborted:
             raise _IterationAbort()
         note(host.tid, *args)
+        host.parked = True  # before the hand-back, or teardown could miss it
         gate, host.hand_back = host.hand_back, self.runner_gate
         gate.release()
 
     def _wait_permit(self, host: _Host) -> None:
         host.permit.acquire()
+        host.parked = False
         if self.aborted:
             raise _IterationAbort()
 
@@ -219,7 +237,68 @@ class ExecutionContext:
                 # waiting on its gate; it raises the failure. A spawner
                 # waiting for this child stays parked until teardown.
                 self.failure = exc
+                host.parked = True
                 self.runner_gate.release()
+
+
+class _Worker:
+    """A pooled OS thread; it runs one program thread after another."""
+
+    __slots__ = ("gate", "job")
+
+    def __init__(self, job: tuple[ExecutionContext, _Host, Callable[[Api], None]]) -> None:
+        self.gate = _closed_gate()  # opened when the next job has been handed over
+        self.job: tuple[ExecutionContext, _Host, Callable[[Api], None]] | None = job
+
+
+class _Pool:
+    """Parked daemon OS threads shared by every execution in the process.
+
+    A worker is started only when none is idle, so the pool grows to the
+    largest number of program threads alive (or stuck) at one time.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.idle: list[_Worker] = []
+        self.size = 0
+
+    def run(self, ctx: ExecutionContext, host: _Host, body: Callable[[Api], None]) -> None:
+        with self._lock:
+            worker = self.idle.pop() if self.idle else None
+            if worker is None:
+                self.size += 1
+        if worker is not None:
+            worker.job = (ctx, host, body)
+            worker.gate.release()
+            return
+        threading.Thread(
+            target=self._serve,
+            args=(_Worker((ctx, host, body)),),
+            name="shadowcheck-worker",
+            daemon=True,
+        ).start()
+
+    def _serve(self, worker: _Worker) -> None:
+        while True:
+            ctx, host, body = worker.job
+            worker.job = None
+            try:
+                ctx._thread_main(host, body)
+            except BaseException:
+                host.finished.release()
+                raise  # a checker bug: this worker leaves the pool
+            finished = host.finished
+            del ctx, host, body  # an idle worker keeps no execution alive
+            # Idle before ``finished`` opens, so the next execution after a
+            # teardown that waited on it can reuse this worker.
+            with self._lock:
+                self.idle.append(worker)
+            finished.release()
+            worker.gate.acquire()
+
+
+_POOL = _Pool()
 
 
 @dataclass

@@ -1,4 +1,7 @@
+import pytest
+
 from shadowcheck import Api, BacktrackPoint, ProgramHandle
+from shadowcheck.dispatch import encode_point
 from shadowcheck.dpor import is_backtrack_point
 from shadowcheck.explorer import BacktrackStore, ExplorationConfig, Explorer, explore
 from shadowcheck.corpus import get_program
@@ -100,6 +103,35 @@ def test_store_file_round_trips(tmp_path):
         (p.prefix, p.depth, frozenset(p.pending), frozenset(p.done), p.discovery_iteration)
         for p in store.live_points()
     }
+
+
+def _point_tuples(points):
+    return [
+        (p.prefix, p.depth, p.pending, p.done, p.discovery_iteration) for p in points
+    ]
+
+
+@pytest.mark.parametrize("later_run", [False, True], ids=["same-store", "later-run"])
+def test_flush_leaves_no_stale_tail(tmp_path, later_run):
+    # The file is rewritten in place; a shorter store must not keep the
+    # end of a longer one, whether this store or an earlier run wrote it.
+    path = tmp_path / "btstore.node0"
+    store = BacktrackStore(path)
+    store.seed([point([0], 1, {1}), point([0, 1], 2, {2}), point([0, 1, 2], 3, {0})])
+    store.flush()
+    assert len(path.read_text().splitlines()) == 3
+    if later_run:
+        store = BacktrackStore(path)
+        store.seed([point([0], 1, {1})])
+    else:
+        for _ in range(2):
+            store.take_branch(store.select_point(), {})
+    store.flush()
+    (only,) = store.live_points()
+    assert path.read_bytes() == (encode_point(only) + "\n").encode()
+    reloaded = BacktrackStore(path)
+    reloaded.load()
+    assert _point_tuples(reloaded.live_points()) == _point_tuples([only])
 
 
 def test_single_threaded_program_explores_once(tmp_path):

@@ -1,11 +1,15 @@
 """Edge paths of the control hand-off between the runner and program threads."""
 
 import threading
+import time
 
 import pytest
 
-from shadowcheck import Api, ProgramHandle
+from shadowcheck import Api, ProgramHandle, runtime
+from shadowcheck.corpus import get_program
 from shadowcheck.errors import ProtocolError
+from shadowcheck.explorer import ExplorationConfig, explore
+from shadowcheck.model import AccessKind, ObjectId, RaceDetail
 from shadowcheck.runtime import IterationRunner
 from shadowcheck.scheduler import IterationOutcome
 
@@ -56,6 +60,24 @@ def test_child_blocked_outside_the_api_trips_the_hang_timeout():
         run_once(spawn_and_join(child), hang_timeout=0.5)
 
 
+def test_teardown_does_not_wait_for_a_thread_stuck_outside_the_api():
+    release = threading.Event()
+
+    def child(a: Api) -> None:
+        cell = a.register_shared(0)
+        a.write(cell, 1)
+        release.wait(3)  # busy outside the shadow API
+        a.write(cell, 2)
+
+    started = time.monotonic()
+    try:
+        with pytest.raises(ProtocolError, match="made no progress"):
+            run_once(spawn_and_join(child), hang_timeout=0.5)
+        assert time.monotonic() - started < 0.5 + 1.0
+    finally:
+        release.set()
+
+
 def _raising(a: Api) -> None:
     raise ProgramBug("earlier run")
 
@@ -82,3 +104,92 @@ def test_a_later_run_is_unaffected(earlier, error):
     assert result.outcome is IterationOutcome.NORMAL_END
     assert result.terminal_cells == (2,)
     assert sorted(set(result.trace.steps)) == [0, 1, 2]
+
+
+def _increment_twice(api: Api) -> None:
+    cell = api.register_shared(0)
+    tids = [api.spawn_thread(lambda a: a.write(cell, a.read(cell) + 1)) for _ in range(2)]
+    for tid in tids:
+        api.join(tid)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts OS thread starts while the test runs."""
+    starts = []
+    original = threading.Thread.start
+
+    def start(thread):
+        starts.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+def test_iterations_reuse_pooled_os_threads(tmp_path, thread_starts):
+    live = []
+    report = explore(
+        get_program("livelock-philosophers"),
+        ExplorationConfig(out_dir=tmp_path, bound=18),
+        iteration_callback=lambda r: live.append(max(d.live for d in r.decisions)),
+    )
+    assert report.iterations_run == 40
+    assert len(thread_starts) <= max(live)
+
+
+def test_failing_runs_do_not_grow_the_pool(thread_starts):
+    def child(a: Api) -> None:
+        a.register_shared(0)
+        raise ProgramBug("every run")
+
+    for _ in range(20):
+        with pytest.raises(ProgramBug):
+            run_once(spawn_and_join(child), hang_timeout=10.0)
+    assert len(thread_starts) <= 3
+
+
+def test_a_stuck_thread_rejoins_the_pool_once_it_unwinds():
+    release = threading.Event()
+
+    def stuck(a: Api) -> None:
+        release.wait(10)  # before the first operation: the spawner waits
+        a.register_shared(0)
+
+    with pytest.raises(ProtocolError):
+        run_once(spawn_and_join(stuck), hang_timeout=0.3)
+    result = run_once(_increment_twice, race_enabled=False)
+    assert result.outcome is IterationOutcome.NORMAL_END
+    assert result.terminal_cells == (2,)
+
+    pool = runtime._POOL
+    assert len(pool.idle) == pool.size - 1
+    release.set()
+    deadline = time.monotonic() + 5.0
+    while len(pool.idle) < pool.size and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(pool.idle) == pool.size
+
+
+def test_race_counts_a_spawned_child_before_its_spawner():
+    # One grant runs main's second spawn: the child announces its read of
+    # x, then main announces its write of x, while the first child's write
+    # is pending. Counted in that order the race fires at the read with
+    # one writer pending; counted the other way round it would show two.
+    def entry(api: Api) -> None:
+        x = api.register_shared(0)
+        api.spawn_thread(lambda a: a.write(x, 1))
+        api.spawn_thread(lambda a: a.read(x))
+        api.write(x, 2)
+
+    result = run_once(entry)
+    assert result.outcome is IterationOutcome.DATA_RACE
+    assert result.race_detail == RaceDetail(
+        object=ObjectId(0), readers_pending=1, writers_pending=1
+    )
+    assert result.trace.steps == [0, 0]
+    assert result.race_racers == [
+        (0, 1, AccessKind.WRITE),
+        (1, 0, AccessKind.WRITE),
+        (2, 1, AccessKind.READ),
+    ]
