@@ -226,10 +226,7 @@ class Explorer:
         """Run to exhaustion: iteration 0 free (or from seeds), then branches."""
         iteration = 0
         if seed_points is None:
-            plan = SchedulePlan()
-            if self.config.seed_trace is not None:
-                plan.replay = parse_trace(self.config.seed_trace).steps
-            self._run_iteration(iteration, plan)
+            self._run_iteration(iteration, self._initial_plan())
         else:
             self.store.seed(seed_points)
 
@@ -259,13 +256,16 @@ class Explorer:
         Used by the dispatcher: the master runs the first iteration, then
         distributes the store instead of draining it itself.
         """
-        plan = SchedulePlan()
-        if self.config.seed_trace is not None:
-            plan.replay = parse_trace(self.config.seed_trace).steps
-        self._run_iteration(0, plan)
+        self._run_iteration(0, self._initial_plan())
         self.store.flush()
         self.report.violations = list(self.sink.violations)
         return self.store.live_points()
+
+    def _initial_plan(self) -> SchedulePlan:
+        """Iteration 0 replays the seed trace, if one is configured, then runs free."""
+        if self.config.seed_trace is None:
+            return SchedulePlan()
+        return SchedulePlan(replay=parse_trace(self.config.seed_trace).steps)
 
     # -- one iteration -----------------------------------------------------------
 
@@ -315,11 +315,6 @@ class Explorer:
         if result.outcome is IterationOutcome.BOUND_WARNING:
             self.report.bound_warnings += 1
         self.sink.close_iteration(result)
-        if self.config.keep_all_traces:
-            log_path = self.sink.trace_dir / f"{self.sink.file_prefix}decisions_{iteration}.log"
-            log_path.write_text(
-                "".join(d.debug_line() + "\n" for d in result.decisions)
-            )
         if self.iteration_callback is not None:
             self.iteration_callback(result)
         return result

@@ -12,8 +12,6 @@ Writer-writer overlap (W >= 2, R = 0) is reported only in strict mode.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import ProtocolError, UsageError
 from .model import AccessKind, ObjectId, RaceDetail
 
@@ -47,17 +45,12 @@ def check(readers: int, writers: int, *, strict: bool = False) -> bool:
 class RaceDetector:
     """Master agent owning one worker per monitored object.
 
-    ``on_race`` is invoked at most once per execution, with the counter
-    snapshot taken at the moment the race fired.
+    ``fired`` holds the first race of the execution: the counter snapshot
+    taken at the moment it fired.
     """
 
-    def __init__(
-        self,
-        on_race: Callable[[RaceDetail], None] | None = None,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, strict: bool = False) -> None:
         self._workers: dict[int, _ObjectWorker] = {}
-        self._on_race = on_race
         self._strict = strict
         self._fired: RaceDetail | None = None
 
@@ -87,8 +80,6 @@ class RaceDetector:
             )
             if self._fired is None:
                 self._fired = detail
-                if self._on_race is not None:
-                    self._on_race(detail)
 
     def on_complete(self, oid: ObjectId, kind: AccessKind) -> None:
         worker = self._worker(oid)

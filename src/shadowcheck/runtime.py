@@ -8,7 +8,7 @@ runs on to its next boundary (its next announcement, a failed try, or
 its end). There, still in control, it records the boundary in the
 scheduler itself and opens the gate of whoever handed it control, then
 waits on its permit again. Program threads touch checker-side structures
-(scheduler, registry, race counters) only while they are in control, so
+(scheduler, identities, race counters) only while they are in control, so
 nothing here needs a lock beyond the gates. A program thread counts its
 completed cell accesses itself but only queues the ones it announces; the
 runner feeds those to the race detector when it has control back, in
@@ -19,7 +19,11 @@ up to its first announcement) before the first decision. A spawned
 thread starts inside its spawner's partition: the spawner waits on its
 own permit, and the child's first boundary opens that permit instead of
 the runner's gate. That pins identity assignment and announcement order
-to the schedule.
+to the schedule: a thread's id is the number of threads started before
+it, an object's id its index among the registered objects.
+
+The runner owns the schedule. It prescribes the plan's replayed steps to
+the scheduler, then the forced branch, and then lets the scheduler pick.
 
 Program threads run on a process-wide pool of parked OS threads, so an
 iteration starts an OS thread only when no pooled one is idle. Teardown
@@ -38,10 +42,7 @@ from .dpor import ExecutedStep, ExecutionLog
 from .errors import CheckerStoppedError, ProtocolError
 from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
 from .race import RaceDetector
-from .registry import IdentityTable
 from .scheduler import (
-    DEADLOCK,
-    NORMAL_END,
     BoundCheck,
     Decision,
     IterationOutcome,
@@ -89,9 +90,7 @@ class ExecutionContext:
         self.scheduler = runner.scheduler
         self.log = runner.log
         self.race = RaceDetector(strict=runner.strict_races) if runner.race_enabled else None
-        self.registry = IdentityTable(
-            on_cell_registered=self.race.on_register if self.race else None
-        )
+        self.objects: list[Any] = []  # registered handles; an object id is the index
         self.hosts: dict[int, _Host] = {}
         self.runner_gate = _closed_gate()
         # Accesses announced since the runner last had control, in order.
@@ -111,7 +110,11 @@ class ExecutionContext:
 
     def register_object(self, handle: Any, *, is_cell: bool) -> ObjectId:
         self.check_alive()
-        return self.registry.register_object(handle, is_cell=is_cell)
+        oid = ObjectId(len(self.objects))
+        self.objects.append(handle)
+        if is_cell and self.race is not None:
+            self.race.on_register(oid)
+        return oid
 
     def race_pending(self, oid: ObjectId, kind: AccessKind) -> None:
         if self.race is not None:
@@ -149,7 +152,7 @@ class ExecutionContext:
         """Runs inside the spawner's partition; returns once the child parks."""
         self.check_alive()
         spawner = self._current_host()
-        tid = int(self.registry.register_thread())
+        tid = len(self.hosts)
         spawner.parked = True
         self._start(_Host(tid=tid, hand_back=spawner.permit), body)
         self._wait_permit(spawner)
@@ -159,8 +162,7 @@ class ExecutionContext:
 
     def start_main(self, entry: Callable[[Api], None]) -> None:
         """Start the main thread (always tid 0) and wait for its first boundary."""
-        tid = int(self.registry.register_thread())
-        self._start(_Host(tid=tid, hand_back=self.runner_gate), entry)
+        self._start(_Host(tid=0, hand_back=self.runner_gate), entry)
         self._await_boundary()
 
     def grant(self, tid: int) -> None:
@@ -305,10 +307,10 @@ _POOL = _Pool()
 class SchedulePlan:
     """How one iteration is driven.
 
-    ``replay`` steps are granted verbatim first. ``pick_branch``, when
-    given, runs at the end of the replay with the live pending operations
-    and returns the thread id to force; afterwards the scheduler runs
-    free.
+    The runner prescribes the ``replay`` steps verbatim first. ``pick_branch``,
+    when given, runs at the end of the replay with the live pending
+    operations and returns the thread id to force; afterwards the scheduler
+    picks freely.
     """
 
     replay: list[int] = field(default_factory=list)
@@ -386,27 +388,27 @@ class IterationRunner:
         sch = self.scheduler
         log = self.log
 
-        ctx.start_main(self.program.entry)
-        if self.plan.replay:
-            sch.begin_replay(self.plan.replay)
+        replay = self.plan.replay
         branch_pending = self.plan.pick_branch is not None
 
+        ctx.start_main(self.program.entry)
         while True:
             if self._race_fired():
                 return self._finish(IterationOutcome.DATA_RACE)
-            if branch_pending and not sch.replaying:
-                forced = self.plan.pick_branch(sch.pending_ops())
-                sch.force_next(forced)
+            # Replayed steps of a recorded trace never yield, so the log's
+            # length is the replay position; a yield there is a divergence
+            # that the next prescription of the same thread reports.
+            prescribed, mode = None, "free"
+            if len(log) < len(replay):
+                prescribed, mode = replay[len(log)], "replay"
+            elif branch_pending:
+                prescribed, mode = self.plan.pick_branch(sch.pending_ops()), "force"
                 branch_pending = False
 
-            decision = sch.pick_next()
-            if decision is NORMAL_END:
-                return self._finish(IterationOutcome.NORMAL_END)
-            if decision is DEADLOCK:
-                return self._finish(IterationOutcome.DEADLOCK)
+            tid = sch.pick_next(prescribed, mode, len(log))
+            if isinstance(tid, IterationOutcome):
+                return self._finish(tid)
 
-            tid = decision
-            mode = sch.decisions[-1].mode
             pre_ops = sch.pending_ops()
             enabled = frozenset(t for t in pre_ops if self._ready(t))
             ctx.grant(tid)
@@ -478,9 +480,7 @@ class IterationRunner:
         race_detail = self.ctx.race.fired if self.ctx.race is not None else None
         terminal = None
         if outcome is IterationOutcome.NORMAL_END:
-            terminal = tuple(
-                h.value for h in self.ctx.registry.handles() if isinstance(h, SharedCell)
-            )
+            terminal = tuple(h.value for h in self.ctx.objects if isinstance(h, SharedCell))
         racers: list[tuple[int, int, AccessKind]] = []
         if outcome is IterationOutcome.DATA_RACE and race_detail is not None:
             for tid, op in sorted(self.scheduler.pending_ops().items()):

@@ -16,6 +16,11 @@ loops against a not-yet-written flag terminate and keeps blocked threads
 periodically retried so a bound-tripping cycle can be told apart from
 plain starvation.
 
+The scheduler keeps no schedule of its own. The iteration runner
+prescribes each replayed or forced step to ``pick_next``, which checks
+that the thread can run and grants it; without a prescription it picks
+freely by the rules above.
+
 Decisions are recorded in a log (one entry per grant, including grants
 that end in a yield); the trace records only grants that progressed.
 """
@@ -37,24 +42,6 @@ class ThreadState(Enum):
     RUNNABLE = "runnable"
     YIELDED = "yielded"
     ENDED = "ended"
-
-
-class NormalEndSignal:
-    """All threads ended; the iteration is over."""
-
-    def __repr__(self) -> str:
-        return "NormalEnd"
-
-
-class DeadlockSignal:
-    """Live threads remain but every one of them is stuck on a failed try."""
-
-    def __repr__(self) -> str:
-        return "Deadlock"
-
-
-NORMAL_END = NormalEndSignal()
-DEADLOCK = DeadlockSignal()
 
 
 @dataclass
@@ -87,9 +74,6 @@ class Scheduler:
         self._threads: dict[int, ThreadStatus] = {}
         self._granted: int | None = None
         self.decisions: list[Decision] = []
-        self._replay_steps: list[int] = []
-        self._replay_pos = 0
-        self._forced: int | None = None
 
     # -- registration and announcements ------------------------------------
 
@@ -147,57 +131,38 @@ class Scheduler:
             if other.tid != tid and other.state is ThreadState.YIELDED:
                 other.state = ThreadState.RUNNABLE
 
-    # -- modes ---------------------------------------------------------------
-
-    def begin_replay(self, steps: list[int]) -> None:
-        self._replay_steps = list(steps)
-        self._replay_pos = 0
-
-    @property
-    def replaying(self) -> bool:
-        return self._replay_pos < len(self._replay_steps)
-
-    def force_next(self, tid: int) -> None:
-        self._forced = tid
-
     # -- the decision -------------------------------------------------------
 
-    def pick_next(self) -> int | NormalEndSignal | DeadlockSignal:
+    def pick_next(
+        self, prescribed: int | None = None, mode: str = "free", step: int = 0
+    ) -> int | IterationOutcome:
+        """Grant ``prescribed`` (a replayed or forced step) or pick freely.
+
+        ``step`` is the trace position the grant would execute; it only
+        locates a prescribed thread that cannot run.
+        """
         if self._granted is not None:
             raise ProtocolError("pick requested while a permit is outstanding")
         live = [t for t in self._threads.values() if t.state is not ThreadState.ENDED]
         if not live:
-            return NORMAL_END
+            return IterationOutcome.NORMAL_END
         runnable = [t for t in live if t.state is ThreadState.RUNNABLE]
         if not runnable:
-            return DEADLOCK
+            return IterationOutcome.DEADLOCK
 
-        if self.replaying:
-            tid = self._replay_steps[self._replay_pos]
-            status = self._threads.get(tid)
-            if status is None or status.state is not ThreadState.RUNNABLE:
+        if prescribed is not None:
+            chosen = self._threads.get(prescribed)
+            if chosen is None or chosen.state is not ThreadState.RUNNABLE:
                 raise ReplayDivergenceError(
-                    f"trace schedules thread {tid}, which cannot run", self._replay_pos
+                    f"{mode} schedules thread {prescribed}, which cannot run", step
                 )
-            self._replay_pos += 1
-            return self._grant(status, "replay", runnable, len(live))
-
-        if self._forced is not None:
-            tid = self._forced
-            self._forced = None
-            status = self._threads.get(tid)
-            if status is None or status.state is not ThreadState.RUNNABLE:
-                raise ReplayDivergenceError(
-                    f"forced branch thread {tid} cannot run", len(self.decisions)
-                )
-            return self._grant(status, "force", runnable, len(live))
-
-        hungry = [t for t in runnable if t.hunger >= self._aging_threshold(len(live))]
-        if hungry:
-            chosen = max(hungry, key=lambda t: (t.hunger, -t.tid))
         else:
-            chosen = max(runnable, key=lambda t: (t.priority, -t.tid))
-        return self._grant(chosen, "free", runnable, len(live))
+            hungry = [t for t in runnable if t.hunger >= self._aging_threshold(len(live))]
+            if hungry:
+                chosen = max(hungry, key=lambda t: (t.hunger, -t.tid))
+            else:
+                chosen = max(runnable, key=lambda t: (t.priority, -t.tid))
+        return self._grant(chosen, mode, runnable, len(live))
 
     def _aging_threshold(self, live_count: int) -> int:
         return max(1, live_count)

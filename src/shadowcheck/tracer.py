@@ -84,7 +84,9 @@ class TraceSink:
         """Write the iteration's trace under its outcome-derived name.
 
         Returns the violation report when the iteration violated, else
-        None. Clean traces are kept only under ``keep_all_traces``.
+        None. Clean traces are kept only under ``keep_all_traces``, which
+        also writes the iteration's scheduler decisions to
+        ``decisions_<n>.log``.
         """
         recorded = self._open.pop(result.iteration, None)
         if recorded is not None and recorded != result.trace.steps:
@@ -119,6 +121,9 @@ class TraceSink:
             path.write_text(format_trace(trace))
             if violation is not None:
                 violation.trace_file = name
+        if self.keep_all_traces:
+            decisions = self.trace_dir / f"{self.file_prefix}decisions_{result.iteration}.log"
+            decisions.write_text("".join(d.debug_line() + "\n" for d in result.decisions))
         if violation is not None:
             violation.validate()
             self.violations.append(violation)
@@ -153,7 +158,6 @@ class ReplayReport:
     trace: Trace
     op_log: list[VisibleOp]
     violation_kind: ViolationKind | None = None
-    divergence: str | None = None
 
     def op_log_text(self) -> str:
         return "".join(op.to_wire() + "\n" for op in self.op_log)
@@ -177,7 +181,9 @@ def replay(
     """Drive the scheduler through exactly the trace's steps, then run free.
 
     For a violation trace the violation fires at (or immediately after)
-    the recorded steps; a clean trace simply completes its execution.
+    the recorded steps; a clean trace simply completes its execution. A
+    step whose thread cannot run, or yields, raises
+    ``ReplayDivergenceError`` carrying the step's position.
     """
     runner = IterationRunner(
         program,

@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 
@@ -142,3 +143,37 @@ def test_keep_all_traces_flag(tmp_path):
     kept = list((tmp_path / "traces").glob("trace_*"))
     assert kept
     parse_trace(kept[0])  # well-formed
+
+
+def test_keep_all_traces_writes_every_decision_log(tmp_path):
+    # One log per iteration, with replayed, forced, free and yielding
+    # grants; the bytes were recorded when the explorer wrote these logs.
+    run(
+        [
+            "check",
+            "--program",
+            "deadlock-two-mutexes",
+            "--out",
+            str(tmp_path),
+            "--keep-all-traces",
+        ]
+    )
+    logs = sorted((tmp_path / "traces").glob("decisions_*.log"))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in logs}
+    assert digests == {
+        "decisions_0.log": "74a55a0ad8e4d532",
+        "decisions_1.log": "16efe3107c109bda",
+        "decisions_2.log": "140ac5928a5d81e5",
+        "decisions_3.log": "f1b71f53954cb754",
+        "decisions_4.log": "3939c0b3059ba7fe",
+    }
+    assert (tmp_path / "traces" / "decisions_2.log").read_text() == (
+        "step=0 pick=0 mode=replay\n"
+        "step=1 pick=0 mode=replay\n"
+        "step=2 pick=2 mode=force\n"
+        "step=3 pick=0 mode=free\n"
+        "step=4 pick=1 mode=free\n"
+        "step=5 pick=1 mode=free\n"
+        "step=6 pick=2 mode=free\n"
+        "step=7 pick=0 mode=free\n"
+    )

@@ -26,15 +26,14 @@ def test_negative_counters_rejected():
 
 
 def test_detector_fires_on_read_write_overlap():
-    fired = []
-    detector = RaceDetector(on_race=fired.append)
+    detector = RaceDetector()
     oid = ObjectId(0)
     detector.on_register(oid)
     detector.on_pending(oid, AccessKind.READ)
-    assert fired == []
+    assert detector.fired is None
     detector.on_pending(oid, AccessKind.WRITE)
-    assert len(fired) == 1
-    assert fired[0].readers_pending == 1 and fired[0].writers_pending == 1
+    assert detector.fired is not None
+    assert detector.fired.readers_pending == 1 and detector.fired.writers_pending == 1
 
 
 def test_detector_tracks_objects_independently():

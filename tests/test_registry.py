@@ -1,49 +1,41 @@
+"""Identity assignment: dense thread ids and registration-order object ids."""
+
 import pytest
 
-from shadowcheck import UsageError
-from shadowcheck.registry import IdentityTable
+from shadowcheck import Api, ProgramHandle, UsageError
+from shadowcheck.runtime import IterationRunner
+from shadowcheck.scheduler import IterationOutcome
+
+
+def make_runner(entry=lambda api: None) -> IterationRunner:
+    return IterationRunner(ProgramHandle(name="t", entry=entry))
 
 
 def test_thread_ids_are_dense_from_zero():
-    table = IdentityTable()
-    assert [table.register_thread() for _ in range(4)] == [0, 1, 2, 3]
+    spawned = []
+
+    def entry(api: Api) -> None:
+        spawned.extend(api.spawn_thread(lambda a: None) for _ in range(3))
+
+    runner = make_runner(entry)
+    assert runner.run().outcome is IterationOutcome.NORMAL_END
+    assert spawned == [1, 2, 3]
+    assert sorted(runner.ctx.hosts) == [0, 1, 2, 3]
 
 
 def test_object_ids_follow_registration_order():
-    table = IdentityTable()
+    ctx = make_runner().ctx
     handles = [object() for _ in range(3)]
-    assert [table.register_object(h) for h in handles] == [0, 1, 2]
-    assert [table.resolve(h) for h in handles] == [0, 1, 2]
-    assert table.handles() == handles
-
-
-def test_duplicate_registration_rejected():
-    table = IdentityTable()
-    handle = object()
-    table.register_object(handle)
-    with pytest.raises(UsageError):
-        table.register_object(handle)
-
-
-def test_unknown_handle_rejected():
-    with pytest.raises(UsageError):
-        IdentityTable().resolve(object())
+    assert [int(ctx.register_object(h, is_cell=False)) for h in handles] == [0, 1, 2]
+    assert ctx.objects == handles
 
 
 def test_cell_registration_notifies_race_detector():
-    seen = []
-    table = IdentityTable(on_cell_registered=seen.append)
-    table.register_object(object(), is_cell=True)
-    table.register_object(object(), is_cell=False)
-    table.register_object(object(), is_cell=True)
-    assert seen == [0, 2]
-
-
-def test_assignment_is_deterministic_across_runs():
-    def run():
-        table = IdentityTable()
-        tids = [table.register_thread() for _ in range(3)]
-        oids = [table.register_object(object()) for _ in range(2)]
-        return tids, oids
-
-    assert run() == run()
+    ctx = make_runner().ctx
+    ctx.register_object(object(), is_cell=True)
+    ctx.register_object(object(), is_cell=False)
+    ctx.register_object(object(), is_cell=True)
+    assert ctx.race.counters(0) == (0, 0)
+    assert ctx.race.counters(2) == (0, 0)
+    with pytest.raises(UsageError):
+        ctx.race.counters(1)

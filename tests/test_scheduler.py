@@ -12,8 +12,6 @@ from shadowcheck import (
     make_visible_op,
 )
 from shadowcheck.scheduler import (
-    DEADLOCK,
-    NORMAL_END,
     BoundCheck,
     IterationOutcome,
     Scheduler,
@@ -64,7 +62,7 @@ def test_all_ended_signals_normal_end():
     assert sch.pick_next() == 0
     sch.on_nonblocking_complete(0)
     sch.on_end(0)
-    assert sch.pick_next() is NORMAL_END
+    assert sch.pick_next() is IterationOutcome.NORMAL_END
 
 
 def test_all_yielded_signals_deadlock():
@@ -75,7 +73,7 @@ def test_all_yielded_signals_deadlock():
     sch.on_yield(tid)
     tid = sch.pick_next()
     sch.on_yield(tid)
-    assert sch.pick_next() is DEADLOCK
+    assert sch.pick_next() is IterationOutcome.DEADLOCK
 
 
 def test_lowest_tid_wins_fresh_ties():
@@ -148,27 +146,26 @@ def test_replay_follows_the_trace_exactly():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, nb_op(0))
     sch.on_announce(1, nb_op(1))
-    sch.begin_replay([1, 0])
-    assert sch.pick_next() == 1
+    assert sch.pick_next(1, "replay") == 1
     sch.on_nonblocking_complete(1)
     sch.on_announce(1, nb_op(1))
-    assert sch.pick_next() == 0
+    assert sch.pick_next(0, "replay") == 0
+    assert [d.mode for d in sch.decisions] == ["replay", "replay"]
 
 
 def test_replay_divergence_raises():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
-    sch.begin_replay([5])
-    with pytest.raises(ReplayDivergenceError):
-        sch.pick_next()
+    with pytest.raises(ReplayDivergenceError) as err:
+        sch.pick_next(5, "replay", 3)
+    assert err.value.step_index == 3
 
 
 def test_forced_pick_returns_the_designated_thread():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, nb_op(0))
     sch.on_announce(1, nb_op(1))
-    sch.force_next(1)
-    assert sch.pick_next() == 1
+    assert sch.pick_next(1, "force") == 1
     assert sch.decisions[-1].mode == "force"
 
 

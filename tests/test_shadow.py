@@ -20,7 +20,7 @@ def run_recording_states(entry, **kwargs):
         states.append(
             [
                 tuple(getattr(h, slot) for slot in type(h).__slots__ if slot != "_ctx")
-                for h in runner.ctx.registry.handles()
+                for h in runner.ctx.objects
             ]
         )
 
@@ -42,15 +42,19 @@ def test_spawn_assigns_dense_thread_ids():
     seen = {}
 
     def entry(api: Api) -> None:
+        seen["main"] = api.my_tid()
+
         def body(a: Api) -> None:
-            pass
+            seen.setdefault("own", []).append(a.my_tid())
 
         seen["first"] = api.spawn_thread(body)
         seen["second"] = api.spawn_thread(body)
 
     result = run_once(entry)
     assert result.outcome is IterationOutcome.NORMAL_END
+    assert seen["main"] == 0
     assert (seen["first"], seen["second"]) == (1, 2)
+    assert sorted(seen["own"]) == [1, 2]
 
 
 def test_replayed_execution_assigns_identical_ids():
@@ -70,15 +74,22 @@ def test_replayed_execution_assigns_identical_ids():
 
 
 def test_registration_order_gives_dense_object_ids():
-    oids = {}
+    made = []
 
     def entry(api: Api) -> None:
-        oids["cells"] = [api.register_shared(0).oid for _ in range(3)]
-        oids["mutex"] = api.new_mutex().oid
+        made.extend(api.register_shared(0) for _ in range(3))
+        made.extend([api.new_mutex(), api.new_semaphore(1), api.new_condvar()])
+        made.append(api.register_shared(5))
 
-    run_once(entry)
-    assert oids["cells"] == [0, 1, 2]
-    assert oids["mutex"] == 3
+    runner = IterationRunner(ProgramHandle(name="t", entry=entry))
+    runner.run()
+    assert [int(h.oid) for h in made] == [0, 1, 2, 3, 4, 5, 6]
+    assert runner.ctx.objects == made
+    # Only cells are watched for races.
+    for cell in made[:3] + made[6:]:
+        assert runner.ctx.race.counters(cell.oid) == (0, 0)
+    with pytest.raises(UsageError):
+        runner.ctx.race.counters(made[3].oid)
 
 
 def test_read_sees_own_write_sequentially():
@@ -327,7 +338,7 @@ def test_two_waiters_one_signal_releases_exactly_one(tmp_path):
             plan=SchedulePlan(replay=list(result.trace.steps)),
         )
         outcome = runner.run()
-        cells = [h.value for h in runner.ctx.registry.handles() if hasattr(h, "value")]
+        cells = [h.value for h in runner.ctx.objects if hasattr(h, "value")]
         return cells[0]
 
     woken_values = {final_woken(r) for r in deadlocked}

@@ -171,6 +171,18 @@ def test_replay_divergence_on_the_wrong_program():
         replay(program, Trace(steps=[0, 0, 1, 1, 1]))
 
 
+def test_replay_of_a_trace_whose_step_yields_diverges():
+    from shadowcheck import ReplayDivergenceError
+
+    # Step 4 schedules thread 2, whose lock fails: a recorded trace never
+    # holds such a step, so the replay reports the divergence at its
+    # position instead of using the step up and ending in a deadlock.
+    program = get_program("deadlock-two-mutexes")
+    with pytest.raises(ReplayDivergenceError) as err:
+        replay(program, Trace(steps=[0, 0, 1, 2, 2, 1]))
+    assert err.value.step_index == 4
+
+
 def test_replay_of_a_clean_trace_completes_normally(tmp_path):
     program = get_program("two-writes-independent")
     results = []
