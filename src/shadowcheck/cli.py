@@ -16,7 +16,7 @@ from .corpus import PROGRAMS, get_program
 from .errors import CheckerError, ProtocolError, ReplayDivergenceError, UsageError
 from .explorer import ExplorationConfig, explore
 from .scheduler import estimate_bound
-from .tracer import parse_trace, replay
+from .tracer import parse_trace, recorded_bound, replay
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -55,7 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", help="re-execute a recorded trace")
     rep.add_argument("--program", required=True)
     rep.add_argument("--trace", required=True)
-    rep.add_argument("--bound", type=int, default=None)
+    rep.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        help="depth bound (default: the one in the run's report.txt, else the program's)",
+    )
     rep.add_argument("--no-race", action="store_true")
 
     worker = sub.add_parser("worker", help="serve one workload from a master")
@@ -115,7 +120,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program)
     trace = parse_trace(args.trace)
-    bound = args.bound if args.bound is not None else max(1000, len(trace.steps))
+    bound = args.bound
+    if bound is None:
+        # A trace lives in <out>/traces/; the run's report is <out>/report.txt.
+        bound = recorded_bound(Path(args.trace).resolve().parent.parent / "report.txt")
     report = replay(program, trace, bound=bound, race_enabled=not args.no_race)
     sys.stdout.write(report.op_log_text())
     print(f"outcome={report.outcome.value}")

@@ -3,15 +3,26 @@
 Backtrack points share one line-oriented record format on disk and on the
 wire, so the store file doubles as a shippable workload. After the first
 iteration the master partitions the discovered points round-robin across
-nodes (deepest first); each node then explores its share, plus whatever
-it discovers along the way, to exhaustion. Points never migrate after
-assignment.
+nodes (deepest first) and marks every branch it ships as done in its own
+store.
+
+Each node owns the subtrees under its roots, by prefix (Yang, Chen,
+Gopalakrishnan and Kirby, SPIN 2007). It banks a point only at a root's
+state, or below a root along a thread that was not done there at
+hand-over; those states no other node reaches. Every other point it finds
+lies on a root's prefix, on states the master or another node explores,
+so it goes back to the master instead, together with each root's final
+record (an exhausted point whose done set names every thread taken
+there). The master merges all of these into its store, where a thread
+done anywhere stays done, and drains what is still owed before merging
+the reports. No schedule is explored twice across nodes.
 
 Worker protocol over any reliable byte stream, one message per line:
 
     worker -> master:  HELLO <node_id>
     master -> worker:  WORKLOAD <count>   followed by <count> point records
-    worker -> master:  DONE              followed by one JSON report line
+    worker -> master:  DONE <count>       followed by <count> point records
+                                          handed back, then one JSON report line
     master -> worker:  BYE
 """
 
@@ -57,7 +68,7 @@ def encode_point(point: BacktrackPoint) -> str:
     )
 
 
-def decode_point(line: str) -> BacktrackPoint:
+def decode_point(line: str, *, exhausted_ok: bool = False) -> BacktrackPoint:
     fields: dict[str, str] = {}
     for part in line.strip().split(" "):
         if "=" not in part:
@@ -74,7 +85,7 @@ def decode_point(line: str) -> BacktrackPoint:
         )
     except KeyError as missing:
         raise DispatchError(f"point record missing field {missing}") from None
-    point.validate()
+    point.validate(exhausted_ok=exhausted_ok)
     return point
 
 
@@ -173,7 +184,8 @@ def _read_line(stream: IO[str], context: str) -> str:
 
 
 def serve_worker(rfile: IO[str], wfile: IO[str], program, config) -> None:
-    """Run the worker side: announce, receive a workload, explore, report."""
+    """Run the worker side: announce, receive a workload, explore, hand
+    points back, report."""
     from .explorer import Explorer
 
     wfile.write(f"HELLO {config.node_id}\n")
@@ -187,14 +199,17 @@ def serve_worker(rfile: IO[str], wfile: IO[str], program, config) -> None:
     explorer = Explorer(program, config)
     report = explorer.explore(seed_points=points)
 
-    wfile.write("DONE\n")
+    wfile.write(f"DONE {len(report.handed_back)}\n")
+    for point in report.handed_back:
+        wfile.write(encode_point(point) + "\n")
     wfile.write(encode_report(report) + "\n")
     wfile.flush()
     _read_line(rfile, "BYE")
 
 
 def send_workload(rfile: IO[str], wfile: IO[str], workload: Workload):
-    """Run the master side of one worker link; returns the worker's report."""
+    """Run the master side of one worker link; returns the worker's report,
+    with the points it handed back."""
     hello = _read_line(rfile, "HELLO")
     if not hello.startswith("HELLO "):
         raise DispatchError(f"expected HELLO, got {hello!r}")
@@ -203,9 +218,15 @@ def send_workload(rfile: IO[str], wfile: IO[str], workload: Workload):
         wfile.write(encode_point(point) + "\n")
     wfile.flush()
     done = _read_line(rfile, "DONE")
-    if done != "DONE":
+    if not done.startswith("DONE "):
         raise DispatchError(f"expected DONE, got {done!r}")
+    count = int(done.split(" ", 1)[1])
+    handed_back = [
+        decode_point(_read_line(rfile, "point record"), exhausted_ok=True)
+        for _ in range(count)
+    ]
     report = decode_report(_read_line(rfile, "report"))
+    report.handed_back = handed_back
     wfile.write("BYE\n")
     wfile.flush()
     return report
@@ -279,13 +300,15 @@ def _run_master(program, config, node_count: int, link: Callable[[Workload], obj
 
     The master runs iteration 0, partitions the points it discovered, hands
     each node's share to ``link`` (which returns that node's report) in
-    node order, and merges the reports.
+    node order, explores what the nodes handed back, and merges the reports.
     """
     from .explorer import Explorer
 
     master = Explorer(program, replace(config, node_id=0))
     workloads = partition(master.explore_initial(), node_count)
-    return _merge_reports(master, [link(workload) for workload in workloads])
+    reports = [link(workload) for workload in workloads]
+    master.drain([point for report in reports for point in report.handed_back])
+    return _merge_reports(master, reports)
 
 
 def _merge_reports(master, worker_reports):

@@ -25,12 +25,16 @@ candidates by depth alone; once the outcome allows banking, each depth's
 prefix is cut from the finished trace, which the runner builds from the
 log. The store holds ``BacktrackPoint``s keyed by (prefix, depth) and
 selects the deepest live one, ties going to the latest discovery.
+
+A worker seeded by a master owns only the states under its roots; the
+points it finds elsewhere are handed back instead of banked (see
+``dispatch`` for the ownership rule).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -39,12 +43,9 @@ from .dpor import ExecutedStep, ExecutionLog, dependent_subset, is_backtrack_poi
 from .errors import ProtocolError
 from .model import AccessKind, BacktrackPoint, ViolationReport, VisibleOp
 from .runtime import IterationResult, IterationRunner, SchedulePlan
-from .scheduler import IterationOutcome, estimate_bound
+from .scheduler import IterationOutcome, default_bound
 from .shadow import ProgramHandle
 from .tracer import TraceSink, parse_trace
-
-DEFAULT_BOUND_FALLBACK = 1000
-BOUND_HEADROOM = 10  # default bound = estimated steps x headroom
 
 Key = tuple[tuple[int, ...], int]
 
@@ -62,11 +63,7 @@ class ExplorationConfig:
     node_id: int = 0
 
     def resolved_bound(self, program: ProgramHandle) -> int:
-        if self.bound is not None:
-            return self.bound
-        if program.declared_partitions:
-            return estimate_bound(program.declared_partitions) * BOUND_HEADROOM
-        return DEFAULT_BOUND_FALLBACK
+        return self.bound if self.bound is not None else default_bound(program)
 
 
 @dataclass
@@ -77,6 +74,9 @@ class ExplorationReport:
     points_explored: int = 0
     node_id: int = 0
     unfair_prunes: int = 0  # branches abandoned as unreachable under fair scheduling
+    # A seeded worker's points for the master: those at states it does not
+    # own, then each root's final record (see ``Explorer.explore``).
+    handed_back: list[BacktrackPoint] = field(default_factory=list)
 
 
 class BacktrackStore:
@@ -169,11 +169,30 @@ class BacktrackStore:
         live.sort(key=lambda p: (-p.depth, p.discovery_iteration))
         return live
 
-    def seed(self, points: list[BacktrackPoint]) -> None:
+    def seed(self, points: list[BacktrackPoint]) -> list[BacktrackPoint]:
+        """Merge records in; returns the store's own record for each.
+
+        A thread done in any record stays done whatever order the records
+        arrive in, so records handed back by several nodes merge alike.
+        """
+        records = []
         for p in points:
             point = self._point(p.prefix, p.depth, p.discovery_iteration)
             point.done |= p.done
-            point.pending |= p.pending - point.done
+            point.pending |= p.pending
+            point.pending -= point.done
+            records.append(point)
+        return records
+
+    def hand_over(self) -> list[BacktrackPoint]:
+        """Ship the live points: copies go out, and every branch they owe is
+        marked done here, so this store never takes one of them itself."""
+        shipped = []
+        for point in self.live_points():
+            shipped.append(replace(point, pending=set(point.pending), done=set(point.done)))
+            point.done |= point.pending
+            point.pending.clear()
+        return shipped
 
     def flush(self) -> None:
         if self._path is None:
@@ -213,23 +232,70 @@ class Explorer:
         out_dir = Path(config.out_dir)
         prefix = f"node{config.node_id}_" if config.node_id else ""
         self.sink = TraceSink(
-            out_dir, keep_all_traces=config.keep_all_traces, file_prefix=prefix
+            out_dir,
+            keep_all_traces=config.keep_all_traces,
+            file_prefix=prefix,
+            bound=self.bound,
         )
         self.store = BacktrackStore(out_dir / f"btstore.node{config.node_id}")
         self.iteration_callback = iteration_callback
         self._seen_traces: set[tuple[int, ...]] = set()
         self.report = ExplorationReport(node_id=config.node_id)
+        # A seeded worker's roots, each with the threads done there at
+        # hand-over, and the store of points it hands back; None for a
+        # node that owns every state.
+        self._roots: list[tuple[BacktrackPoint, frozenset[int]]] | None = None
+        self._hand_back = BacktrackStore()
 
     # -- public entry points --------------------------------------------------
 
     def explore(self, seed_points: list[BacktrackPoint] | None = None) -> ExplorationReport:
-        """Run to exhaustion: iteration 0 free (or from seeds), then branches."""
-        iteration = 0
-        if seed_points is None:
-            self._run_iteration(iteration, self._initial_plan())
-        else:
-            self.store.seed(seed_points)
+        """Run to exhaustion: iteration 0 free, then branches.
 
+        A worker seeded with a master's points instead takes them as its
+        roots and explores only what it owns (see ``_store_at``). Its
+        report hands back the points it found elsewhere, followed by each
+        root's final record, whose done set names every thread taken there.
+        """
+        if seed_points is None:
+            self._run_iteration(0, self._initial_plan())
+        else:
+            roots = self.store.seed(seed_points)
+            self._roots = [(root, frozenset(root.done)) for root in roots]
+        self._drain()
+        self.sink.write_report()
+        self.store.flush()
+        self.report.violations = list(self.sink.violations)
+        if self._roots is not None:
+            roots = [root for root, _ in self._roots]
+            self.report.handed_back = self._hand_back.live_points() + roots
+        return self.report
+
+    def explore_initial(self) -> list[BacktrackPoint]:
+        """Run only iteration 0 and hand over the points it discovered.
+
+        Used by the dispatcher: the master runs the first iteration, then
+        ships the live points instead of draining them itself. They are
+        marked done here, so only points handed back are explored here later.
+        """
+        self._run_iteration(0, self._initial_plan())
+        self.store.flush()
+        self.report.violations = list(self.sink.violations)
+        return self.store.hand_over()
+
+    def drain(self, points: list[BacktrackPoint]) -> None:
+        """Merge points handed back by workers and explore what is still owed.
+
+        The master's iteration numbers continue from 1 (only iteration 0
+        ran here before), so its trace file names stay unique.
+        """
+        self.store.seed(points)
+        self._drain()
+        self.report.violations = list(self.sink.violations)
+
+    def _drain(self) -> None:
+        """Take live points, deepest first, until none is left."""
+        iteration = 0
         while True:
             point = self.store.select_point()
             if point is None:
@@ -244,22 +310,6 @@ class Explorer:
             plan = SchedulePlan(replay=list(point.prefix), pick_branch=pick_branch)
             self._run_iteration(iteration, plan)
             self.store.flush()
-
-        self.sink.write_report()
-        self.store.flush()
-        self.report.violations = list(self.sink.violations)
-        return self.report
-
-    def explore_initial(self) -> list[BacktrackPoint]:
-        """Run only iteration 0 and hand back the points it discovered.
-
-        Used by the dispatcher: the master runs the first iteration, then
-        distributes the store instead of draining it itself.
-        """
-        self._run_iteration(0, self._initial_plan())
-        self.store.flush()
-        self.report.violations = list(self.sink.violations)
-        return self.store.live_points()
 
     def _initial_plan(self) -> SchedulePlan:
         """Iteration 0 replays the seed trace, if one is configured, then runs free."""
@@ -302,15 +352,16 @@ class Explorer:
             )
         self._seen_traces.add(signature)
 
+        steps = result.trace.steps
+        store_at = self._store_at(steps)
         if result.outcome not in (
             IterationOutcome.LIVELOCK_CANDIDATE,
             IterationOutcome.BOUND_WARNING,
         ):
-            steps = result.trace.steps
             for absorb, depth, arg in found:
-                absorb(tuple(steps[:depth]), depth, arg, steps[depth], iteration)
+                absorb(store_at(depth), tuple(steps[:depth]), depth, arg, steps[depth], iteration)
         if result.outcome is IterationOutcome.DATA_RACE:
-            self._absorb_race_dodges(result, iteration)
+            self._absorb_race_dodges(result, iteration, store_at)
 
         if result.outcome is IterationOutcome.BOUND_WARNING:
             self.report.bound_warnings += 1
@@ -319,7 +370,31 @@ class Explorer:
             self.iteration_callback(result)
         return result
 
-    def _absorb_race_dodges(self, result, iteration: int) -> None:
+    def _store_at(self, steps: list[int]) -> Callable[[int], BacktrackStore]:
+        """The store that banks a point at each depth of this trace.
+
+        A node without roots owns every state. A seeded worker owns each
+        root's state, and the states below a root along a thread that was
+        not done there at hand-over: the master or another node explores
+        everything else, so a point anywhere else is handed back.
+        """
+        store = self.store
+        if self._roots is None:
+            return lambda depth: store
+        at: set[int] = set()
+        below = len(steps)  # no point lies this deep
+        for root, handed_over_done in self._roots:
+            d = root.depth
+            if d < len(steps) and tuple(steps[:d]) == root.prefix:
+                at.add(d)
+                if steps[d] not in handed_over_done:
+                    below = min(below, d + 1)
+        hand_back = self._hand_back
+        return lambda depth: store if depth in at or depth >= below else hand_back
+
+    def _absorb_race_dodges(
+        self, result, iteration: int, store_at: Callable[[int], BacktrackStore]
+    ) -> None:
         """Bank the schedules on which the reported race does not occur.
 
         A race is an overlap of two pending accesses, detected the moment
@@ -343,7 +418,7 @@ class Explorer:
 
         def bank(depth: int, tid: int) -> None:
             if tid in log[depth].enabled:
-                self.store.absorb_addition(
+                store_at(depth).absorb_addition(
                     tuple(steps[:depth]), depth, tid, steps[depth], iteration
                 )
 
@@ -371,7 +446,8 @@ class Explorer:
         from the finished trace if the iteration's points get banked.
         """
         dpor_on = self.config.dpor_enabled
-        store = self.store
+        absorb_state = BacktrackStore.absorb_state
+        absorb_addition = BacktrackStore.absorb_addition
 
         def hook(
             log: ExecutionLog,
@@ -393,11 +469,11 @@ class Explorer:
             else:
                 candidates = set()
             if scheduled in candidates:
-                found.append((store.absorb_state, step.depth, candidates))
+                found.append((absorb_state, step.depth, candidates))
 
             if dpor_on:
                 for j, tid in on_execute(log, step):
-                    found.append((store.absorb_addition, j, tid))
+                    found.append((absorb_addition, j, tid))
 
         return hook
 

@@ -151,14 +151,16 @@ class BacktrackPoint:
     done: set[int]
     discovery_iteration: int
 
-    def validate(self) -> None:
+    def validate(self, *, exhausted_ok: bool = False) -> None:
+        """Check the record; only a record that reports a finished state
+        (a worker's root, handed back) may have an empty pending set."""
         if len(self.prefix) != self.depth:
             raise ValueError(
                 f"prefix length {len(self.prefix)} != depth {self.depth}"
             )
         if self.pending & self.done:
             raise ValueError("pending and done overlap")
-        if not self.pending:
+        if not self.pending and not exhausted_ok:
             raise ValueError("stored point must keep a nonempty pending set")
 
 

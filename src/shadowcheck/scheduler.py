@@ -257,6 +257,18 @@ def estimate_bound(partitions: list[int]) -> int:
     return sum(partitions)
 
 
+DEFAULT_BOUND_FALLBACK = 1000
+BOUND_HEADROOM = 10  # default bound = estimated steps x headroom
+
+
+def default_bound(program) -> int:
+    """The depth bound of a run that names none: the program's declared
+    partition counts times the headroom, else a flat fallback."""
+    if program.declared_partitions:
+        return estimate_bound(program.declared_partitions) * BOUND_HEADROOM
+    return DEFAULT_BOUND_FALLBACK
+
+
 def classify_overrun(
     trace: Trace,
     live_ready: dict[int, bool],

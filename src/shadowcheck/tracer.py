@@ -4,7 +4,10 @@ One line per scheduled step, ``"<index> <tid>."`` with a 1-based
 contiguous index, so a recorded file replays an execution exactly.
 Violating iterations keep their trace under a distinguished name
 (``bt_<n>_deadlock``, ``bt_<n>_livelock``, ``data_race<n>``); clean
-iterations are deleted unless retention is requested.
+iterations are deleted unless retention is requested. A trace fixes the
+schedule but not the depth bound, which decides whether an execution ends
+as a livelock candidate; ``report.txt`` records the run's bound in its
+header so a replay can use it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 from .errors import ProtocolError, TraceParseError
 from .model import Trace, ViolationKind, ViolationReport, VisibleOp
 from .runtime import IterationResult, IterationRunner, SchedulePlan
-from .scheduler import IterationOutcome
+from .scheduler import IterationOutcome, default_bound
 from .shadow import ProgramHandle
 
 _OUTCOME_SUFFIX = {
@@ -63,12 +66,14 @@ class TraceSink:
         *,
         keep_all_traces: bool = False,
         file_prefix: str = "",
+        bound: int | None = None,
     ) -> None:
         self.out_dir = Path(out_dir)
         self.trace_dir = self.out_dir / "traces"
         self.trace_dir.mkdir(parents=True, exist_ok=True)
         self.keep_all_traces = keep_all_traces
         self.file_prefix = file_prefix
+        self.bound = bound
         self.violations: list[ViolationReport] = []
         self._open: dict[int, list[int]] = {}
 
@@ -130,13 +135,30 @@ class TraceSink:
         return violation
 
     def write_report(self, extra: list[ViolationReport] | None = None) -> Path:
-        """Write ``report.txt``: timestamp header plus one line per violation."""
-        lines = [f"# generated {datetime.datetime.now().isoformat()}"]
+        """Write ``report.txt``: a header with the timestamp and the depth
+        bound (when known), plus one line per violation."""
+        header = f"# generated {datetime.datetime.now().isoformat()}"
+        if self.bound is not None:
+            header += f" bound={self.bound}"
+        lines = [header]
         for v in self.violations + list(extra or ()):
             lines.append(summary_line(v))
         path = self.out_dir / "report.txt"
         path.write_text("".join(line + "\n" for line in lines))
         return path
+
+
+def recorded_bound(report: str | Path) -> int | None:
+    """The depth bound in a ``report.txt`` header, or None if there is none."""
+    try:
+        with open(report) as lines:
+            header = lines.readline()
+    except FileNotFoundError:
+        return None
+    for field in header.split()[2:]:
+        if field.startswith("bound="):
+            return int(field[len("bound="):])
+    return None
 
 
 def summary_line(v: ViolationReport) -> str:
@@ -174,7 +196,7 @@ def replay(
     program: ProgramHandle,
     trace: Trace,
     *,
-    bound: int = 1000,
+    bound: int | None = None,
     race_enabled: bool = True,
     strict_races: bool = False,
 ) -> ReplayReport:
@@ -183,11 +205,13 @@ def replay(
     For a violation trace the violation fires at (or immediately after)
     the recorded steps; a clean trace simply completes its execution. A
     step whose thread cannot run, or yields, raises
-    ``ReplayDivergenceError`` carrying the step's position.
+    ``ReplayDivergenceError`` carrying the step's position. Without a
+    ``bound`` the program's default applies, as in an exploration that
+    names none.
     """
     runner = IterationRunner(
         program,
-        bound=bound,
+        bound=default_bound(program) if bound is None else bound,
         plan=SchedulePlan(replay=list(trace.steps)),
         race_enabled=race_enabled,
         strict_races=strict_races,

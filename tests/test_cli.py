@@ -52,6 +52,24 @@ def test_replay_reproduces_the_race(tmp_path, capsys):
     assert "{n,0,dc,dc}" in out  # the visible-op log is printed
 
 
+def test_replay_uses_the_bound_of_the_run(tmp_path, capsys):
+    args = ["--program", "livelock-philosophers"]
+    assert run(["check", *args, "--out", str(tmp_path), "--bound", "18"]) == 1
+    header = (tmp_path / "report.txt").read_text().splitlines()[0]
+    assert header.startswith("# generated ") and header.endswith(" bound=18")
+    capsys.readouterr()
+    trace = tmp_path / "traces" / "bt_14_livelock"
+    assert run(["replay", *args, "--trace", str(trace)]) == 1
+    assert "outcome=livelock-candidate" in capsys.readouterr().out
+    # Away from its run's report the program's default bound (120) applies,
+    # and under it the same schedule ends normally.
+    (tmp_path / "copy" / "traces").mkdir(parents=True)
+    moved = tmp_path / "copy" / "traces" / trace.name
+    moved.write_text(trace.read_text())
+    assert run(["replay", *args, "--trace", str(moved)]) == 0
+    assert "outcome=normal-end" in capsys.readouterr().out
+
+
 def test_report_is_deterministic_modulo_timestamp(tmp_path):
     for sub in ("a", "b"):
         assert (

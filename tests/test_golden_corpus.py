@@ -6,12 +6,13 @@ file, ``report.txt`` without its timestamp line, and a SHA-256 of every
 final ``btstore.node<k>`` file. A change that is meant to keep behaviour
 must keep all of it byte for byte.
 
-The recorded values live in ``golden_corpus.json``. To re-record them
-after a change that moves behaviour on purpose, run
+The recorded values live in ``golden_corpus.json``. To re-record the
+snapshots that a change moves on purpose, name them:
 
-    PYTHONPATH=src python3 tests/test_golden_corpus.py
+    PYTHONPATH=src python3 tests/test_golden_corpus.py livelock-philosophers@2
 
-and say in the change why the values moved.
+Only the named keys are re-recorded; every other snapshot keeps its bytes.
+Say in the change which values moved and why.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ GOLDEN = Path(__file__).with_name("golden_corpus.json")
 BOUNDS = {"livelock-philosophers": 18}
 NODE_COUNTS = (1, 2)
 
-# Deliberate departures from the recorded values. The recording predates
-# the report codec carrying ``unfair_prunes``: a worker's unfair prune was
-# lost on the way to the master, so spin-flag read 0 on two nodes against
-# 1 on one node over the same iterations. Re-recording folds these into
-# the recorded values; empty the table when doing so.
-CORRECTIONS = {("spin-flag", 2): {"unfair_prunes": 1}}
+# Deliberate departures from the recorded values, keyed (program, nodes),
+# each with the reason beside it. Re-recording a key folds its entry into
+# the recorded values; remove the entry when doing so.
+CORRECTIONS: dict[tuple[str, int], dict] = {}
 
 
 def _sha256(path: Path) -> str:
@@ -86,14 +85,18 @@ def test_run_matches_the_golden_snapshot(golden, name, nodes, tmp_path):
     assert snapshot(name, nodes, tmp_path) == expected
 
 
-def _record() -> None:
-    recorded = {}
+def _record(keys: list[str]) -> None:
+    cases = {_key(name, nodes): (name, nodes) for name, nodes in CASES}
+    unknown = [key for key in keys if key not in cases]
+    if not keys or unknown:
+        sys.exit(f"name the snapshots to re-record, out of: {' '.join(cases)}")
+    recorded = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as scratch:
-        for name, nodes in CASES:
-            recorded[_key(name, nodes)] = snapshot(name, nodes, Path(scratch) / _key(name, nodes))
+        for key in keys:
+            recorded[key] = snapshot(*cases[key], Path(scratch) / key)
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(recorded)} snapshots)", file=sys.stderr)
+    print(f"wrote {GOLDEN} (re-recorded {', '.join(keys)})", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])
