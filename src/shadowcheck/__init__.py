@@ -31,7 +31,7 @@ from .model import (
     VisibleOp,
     make_visible_op,
 )
-from .scheduler import IterationOutcome, check_bound, estimate_bound
+from .scheduler import IterationOutcome, estimate_bound
 from .shadow import Api, ProgramHandle, SharedCell, ShadowCondVar, ShadowMutex, ShadowSemaphore
 from .tracer import ReplayReport, format_trace, parse_trace, replay
 
@@ -65,7 +65,6 @@ __all__ = [
     "ViolationKind",
     "ViolationReport",
     "VisibleOp",
-    "check_bound",
     "estimate_bound",
     "explore",
     "format_trace",

@@ -69,10 +69,11 @@ def encode_point(point: BacktrackPoint) -> str:
 
 
 def decode_point(line: str, *, exhausted_ok: bool = False) -> BacktrackPoint:
+    record = line.strip()
     fields: dict[str, str] = {}
-    for part in line.strip().split(" "):
+    for part in record.split(" "):
         if "=" not in part:
-            raise DispatchError(f"malformed point record field {part!r}")
+            raise DispatchError(f"malformed field {part!r} in point record {record!r}")
         name, value = part.split("=", 1)
         fields[name] = value
     try:
@@ -83,9 +84,11 @@ def decode_point(line: str, *, exhausted_ok: bool = False) -> BacktrackPoint:
             done=set(_decode_csv(fields["done"])),
             discovery_iteration=int(fields["iter"]),
         )
+        point.validate(exhausted_ok=exhausted_ok)
     except KeyError as missing:
-        raise DispatchError(f"point record missing field {missing}") from None
-    point.validate(exhausted_ok=exhausted_ok)
+        raise DispatchError(f"point record {record!r} is missing field {missing}") from None
+    except ValueError as exc:
+        raise DispatchError(f"corrupt point record {record!r}: {exc}") from None
     return point
 
 
@@ -183,6 +186,15 @@ def _read_line(stream: IO[str], context: str) -> str:
     return line.rstrip("\n")
 
 
+def _read_count(stream: IO[str], keyword: str) -> int:
+    """Read a ``<keyword> <count>`` header line."""
+    header = _read_line(stream, f"{keyword} header")
+    name, _, count = header.partition(" ")
+    if name != keyword or not count.isdecimal():
+        raise DispatchError(f"expected {keyword} <count>, got {header!r}")
+    return int(count)
+
+
 def serve_worker(rfile: IO[str], wfile: IO[str], program, config) -> None:
     """Run the worker side: announce, receive a workload, explore, hand
     points back, report."""
@@ -190,10 +202,7 @@ def serve_worker(rfile: IO[str], wfile: IO[str], program, config) -> None:
 
     wfile.write(f"HELLO {config.node_id}\n")
     wfile.flush()
-    header = _read_line(rfile, "WORKLOAD header")
-    if not header.startswith("WORKLOAD "):
-        raise DispatchError(f"expected WORKLOAD, got {header!r}")
-    count = int(header.split(" ", 1)[1])
+    count = _read_count(rfile, "WORKLOAD")
     points = [decode_point(_read_line(rfile, "point record")) for _ in range(count)]
 
     explorer = Explorer(program, config)
@@ -217,10 +226,7 @@ def send_workload(rfile: IO[str], wfile: IO[str], workload: Workload):
     for point in workload.points:
         wfile.write(encode_point(point) + "\n")
     wfile.flush()
-    done = _read_line(rfile, "DONE")
-    if not done.startswith("DONE "):
-        raise DispatchError(f"expected DONE, got {done!r}")
-    count = int(done.split(" ", 1)[1])
+    count = _read_count(rfile, "DONE")
     handed_back = [
         decode_point(_read_line(rfile, "point record"), exhausted_ok=True)
         for _ in range(count)

@@ -57,11 +57,6 @@ class ExecutionLog:
         return len(self.steps)
 
 
-def co_enabled(log: ExecutionLog, depth: int, tid: int) -> bool:
-    """Was ``tid`` able to progress at the state the given step ran from?"""
-    return tid in log.steps[depth].enabled
-
-
 def on_execute(log: ExecutionLog, step: ExecutedStep) -> set[tuple[int, int]]:
     """Backtrack additions owed after ``step`` (the most recent transition).
 
@@ -81,7 +76,7 @@ def on_execute(log: ExecutionLog, step: ExecutedStep) -> set[tuple[int, int]]:
             continue
         if not dependent(earlier.op, step.op):
             continue
-        if co_enabled(log, earlier.depth, tid):
+        if tid in earlier.enabled:
             additions.add((earlier.depth, tid))
             break
         executed = int(earlier.op.tid)

@@ -2,12 +2,14 @@
 
 Program threads are real threads, but control is handed from one thread
 to the next, so at most one of them runs at a time. The runner thread
-makes every scheduling decision: it opens the chosen thread's permit gate
-and waits on its own gate. The granted thread performs its operation and
-runs on to its next boundary (its next announcement, a failed try, or
-its end). There, still in control, it records the boundary in the
-scheduler itself and opens the gate of whoever handed it control, then
-waits on its permit again. Program threads touch checker-side structures
+makes every scheduling decision. A pick whose waiting operation cannot
+pass is settled there, without handing over control; every other pick
+opens the chosen thread's permit gate and waits on the runner's own gate.
+So a grant always takes effect: the granted thread performs its
+operation and runs on to its next boundary (its next announcement or its
+end). There, still in control, it records the boundary in the scheduler
+itself and opens the gate of whoever handed it control, then waits on
+its permit again. Program threads touch checker-side structures
 (scheduler, identities, race counters) only while they are in control, so
 nothing here needs a lock beyond the gates. A program thread counts its
 completed cell accesses itself but only queues the ones it announces; the
@@ -42,16 +44,8 @@ from .dpor import ExecutedStep, ExecutionLog
 from .errors import CheckerStoppedError, ProtocolError
 from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
 from .race import RaceDetector
-from .scheduler import (
-    BoundCheck,
-    Decision,
-    IterationOutcome,
-    Scheduler,
-    ThreadState,
-    check_bound,
-    classify_overrun,
-)
-from .shadow import Api, ProgramHandle, SharedCell, _WaitingOp
+from .scheduler import Decision, IterationOutcome, Scheduler, ThreadState, classify_overrun
+from .shadow import Api, ProgramHandle, SharedCell
 
 
 class _IterationAbort(BaseException):
@@ -78,7 +72,8 @@ class _Host:
     # Set before this thread hands control back, cleared when it is granted
     # again: teardown wakes the parked threads and waits until they finish.
     parked: bool = False
-    waiting: _WaitingOp | None = None
+    # The pending operation's pass condition; None when it always passes.
+    ready: Callable[[], bool] | None = None
     announced_at: int = 0  # trace depth current at the last announcement
 
 
@@ -130,23 +125,23 @@ class ExecutionContext:
     def thread_ended(self, tid: int) -> bool:
         return self.scheduler.status_of(tid).state is ThreadState.ENDED
 
-    def visible_nonblocking(self, op: VisibleOp, effect: Callable[[], Any]) -> Any:
-        host = self._current_host()
-        host.waiting = None
-        self._park(host, op)
-        result = effect()
-        self.scheduler.on_nonblocking_complete(host.tid)
-        return result
+    def visible(
+        self, op: VisibleOp, effect: Callable[[], Any], ready: Callable[[], bool] | None = None
+    ) -> Any:
+        """Announce ``op``, park until granted, then take ``effect``.
 
-    def visible_waiting(self, op: VisibleOp, wop: _WaitingOp) -> None:
+        A waiting operation passes only once ``ready()`` holds, and the
+        runner grants it only then; a grant that finds it false is a
+        runner bug, raised before the effect can touch shadow state.
+        """
         host = self._current_host()
-        host.waiting = wop
+        host.ready = ready
         self._park(host, op)
-        while not wop.attempt():
-            self._boundary(host, self.scheduler.on_yield)
-            self._wait_permit(host)
-        host.waiting = None
-        self.scheduler.on_pass(host.tid)
+        if ready is not None and not ready():
+            raise ProtocolError(f"thread {host.tid} granted {op.to_wire()}, which cannot pass")
+        result = effect()
+        self.scheduler.on_progress(host.tid)
+        return result
 
     def spawn_child(self, body: Callable[[Api], None]) -> int:
         """Runs inside the spawner's partition; returns once the child parks."""
@@ -358,6 +353,8 @@ class IterationRunner:
         unfair_prune: bool = False,
         hang_timeout: float = 30.0,
     ) -> None:
+        if bound < 1:
+            raise ValueError(f"depth bound must be >= 1, got {bound}")
         self.program = program
         self.iteration = iteration
         self.bound = bound
@@ -411,17 +408,17 @@ class IterationRunner:
 
             pre_ops = sch.pending_ops()
             enabled = frozenset(t for t in pre_ops if self._ready(t))
+            if tid not in enabled:
+                sch.on_yield(tid)  # its wait cannot pass: nothing happens
+                continue
             ctx.grant(tid)
-            if sch.status_of(tid).state is ThreadState.YIELDED:
-                continue  # the try failed; nothing happened
-
             step = log.append(pre_ops[tid], enabled)
             if self.step_hook is not None:
                 self.step_hook(log, step, pre_ops, enabled, mode)
             if self._update_streaks(tid, pre_ops, enabled, mode):
                 return self._finish(IterationOutcome.UNFAIR_STOP)
 
-            if check_bound(len(log), self.bound) is BoundCheck.EXCEEDED:
+            if len(log) > self.bound:  # the tripping step is still recorded
                 live = sch.live_tids()
                 if not live:
                     continue  # the tripping step completed the program
@@ -467,8 +464,8 @@ class IterationRunner:
 
     def _ready(self, tid: int) -> bool:
         """Could this live thread's pending operation progress right now?"""
-        waiting = self.ctx.hosts[tid].waiting
-        return waiting is None or bool(waiting.ready())
+        ready = self.ctx.hosts[tid].ready
+        return ready is None or ready()
 
     def _race_fired(self) -> bool:
         return self.ctx.race is not None and self.ctx.race.fired is not None

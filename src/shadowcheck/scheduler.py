@@ -1,12 +1,12 @@
 """The fair, non-preemptive scheduler.
 
 Threads announce one visible operation at a time and the scheduler grants
-permits one at a time, so program execution is fully serialized. A thread
-whose waiting operation fails yields and leaves the pickable set until some
-other thread makes progress (the shared state cannot have changed before
-then, and retrying costs nothing because failed tries are side-effect
-free). A yield also drops the thread's priority below everyone who has
-progressed since.
+permits one at a time, so program execution is fully serialized. When the
+pick is a waiting operation that cannot pass, the runner settles it
+without handing the thread control: the thread yields and leaves the
+pickable set until some other thread makes progress (the shared state
+cannot have changed before then). A yield also drops the thread's
+priority below everyone who has progressed since.
 
 Fairness is enforced by starvation aging: a thread that stays pickable for
 ``live_count`` consecutive decisions without being granted is serviced
@@ -21,8 +21,8 @@ prescribes each replayed or forced step to ``pick_next``, which checks
 that the thread can run and grants it; without a prescription it picks
 freely by the rules above.
 
-Decisions are recorded in a log (one entry per grant, including grants
-that end in a yield); the trace records only grants that progressed.
+Decisions are recorded in a log (one entry per pick, including picks
+that end in a yield); the trace records only picks that progressed.
 """
 
 from __future__ import annotations
@@ -101,14 +101,8 @@ class Scheduler:
 
     # -- permit protocol ----------------------------------------------------
 
-    def on_pass(self, tid: int) -> None:
-        """The granted waiting operation succeeded."""
-        if self._granted != tid:
-            raise ProtocolError(f"pass from thread {tid} without the permit")
-        self._note_progress(tid)
-
     def on_yield(self, tid: int) -> None:
-        """The granted waiting operation failed; nothing changed."""
+        """The picked waiting operation cannot pass; nothing changed."""
         if self._granted != tid:
             raise ProtocolError(f"yield from thread {tid} without the permit")
         self._granted = None
@@ -119,11 +113,10 @@ class Scheduler:
         ]
         status.priority = min(live_priorities) - 1
 
-    def on_nonblocking_complete(self, tid: int) -> None:
-        """The granted non-blocking operation took effect."""
-        self._note_progress(tid)
-
-    def _note_progress(self, tid: int) -> None:
+    def on_progress(self, tid: int) -> None:
+        """The granted operation took effect."""
+        if self._granted != tid:
+            raise ProtocolError(f"progress from thread {tid} without the permit")
         status = self._status(tid)
         status.priority = 0
         # The shared state changed: every parked waiter is worth retrying.
@@ -204,9 +197,6 @@ class Scheduler:
     def status_of(self, tid: int) -> ThreadStatus:
         return self._status(tid)
 
-    def decision_log_lines(self) -> list[str]:
-        return [d.debug_line() for d in self.decisions]
-
     def _status(self, tid: int) -> ThreadStatus:
         try:
             return self._threads[tid]
@@ -234,18 +224,6 @@ class IterationOutcome(Enum):
     BOUND_WARNING = "bound-warning"
     DATA_RACE = "data-race"
     UNFAIR_STOP = "unfair-stop"
-
-
-class BoundCheck(Enum):
-    CONTINUE = "continue"
-    EXCEEDED = "exceeded"
-
-
-def check_bound(steps_executed: int, bound: int) -> BoundCheck:
-    """The step that trips the bound is still recorded, hence strict >."""
-    if bound < 1:
-        raise ValueError(f"depth bound must be >= 1, got {bound}")
-    return BoundCheck.EXCEEDED if steps_executed > bound else BoundCheck.CONTINUE
 
 
 def estimate_bound(partitions: list[int]) -> int:

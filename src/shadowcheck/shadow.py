@@ -4,9 +4,9 @@ Programs are written directly against this API instead of a native thread
 library. Every primitive announces what it is about to do as a
 ``{token,tid,access,oid}`` tuple, parks the calling thread, and performs
 its effect only once the scheduler grants the permit. Waiting primitives
-(lock, semaphore wait, join, condition wait) run a try loop: a grant whose
-attempt fails yields back to the scheduler without touching any shadow
-state, so retries are free.
+(lock, semaphore wait, join, condition wait) also state their pass
+condition, ``ready``; the runner grants a waiting operation only while
+its condition holds, so every effect here is unconditional.
 
 Thread bodies must be deterministic closures over their spawn arguments:
 no wall-clock reads, no ambient randomness, no I/O. Program behavior is
@@ -92,14 +92,6 @@ class ProgramHandle:
     description: str = ""
 
 
-@dataclass
-class _WaitingOp:
-    """Checker-visible handle for a parked waiting operation."""
-
-    ready: Callable[[], bool]
-    attempt: Callable[[], bool]
-
-
 class Api:
     """Facade handed to every thread body; one instance per execution."""
 
@@ -148,7 +140,7 @@ class Api:
         ctx = self._ctx
         me = ctx.current_tid()
         op = make_visible_op(Token.NON_BLOCKING, ThreadId(me), AccessKind.DONT_CARE, DONT_CARE)
-        return ctx.visible_nonblocking(op, lambda: ctx.spawn_child(body))
+        return ctx.visible(op, lambda: ctx.spawn_child(body))
 
     def join(self, target: ThreadId | int) -> None:
         ctx = self._ctx
@@ -159,11 +151,7 @@ class Api:
         if not ctx.thread_exists(target):
             raise UsageError(f"join target {target} was never spawned")
         op = make_visible_op(Token.WAITING, ThreadId(me), AccessKind.DONT_CARE, DONT_CARE)
-
-        def ready() -> bool:
-            return ctx.thread_ended(target)
-
-        ctx.visible_waiting(op, _WaitingOp(ready=ready, attempt=ready))
+        ctx.visible(op, lambda: None, ready=lambda: ctx.thread_ended(target))
 
     # -- shared variables --------------------------------------------------------
 
@@ -179,7 +167,7 @@ class Api:
             ctx.race_complete(cell.oid, AccessKind.READ)
             return value
 
-        return ctx.visible_nonblocking(op, effect)
+        return ctx.visible(op, effect)
 
     def write(self, cell: SharedCell, value: int) -> None:
         ctx = self._ctx
@@ -192,7 +180,7 @@ class Api:
             cell.value = value
             ctx.race_complete(cell.oid, AccessKind.WRITE)
 
-        ctx.visible_nonblocking(op, effect)
+        ctx.visible(op, effect)
 
     # -- mutexes -------------------------------------------------------------------
 
@@ -204,13 +192,10 @@ class Api:
             raise UsageError("relocking a held mutex (non-recursive)")
         op = make_visible_op(Token.WAITING, ThreadId(me), AccessKind.WRITE, m.oid)
 
-        def attempt() -> bool:
-            if m.holder is None:
-                m.holder = me
-                return True
-            return False
+        def effect() -> None:
+            m.holder = me
 
-        ctx.visible_waiting(op, _WaitingOp(ready=lambda: m.holder is None, attempt=attempt))
+        ctx.visible(op, effect, ready=lambda: m.holder is None)
 
     def mutex_unlock(self, m: ShadowMutex) -> None:
         ctx = self._ctx
@@ -223,7 +208,7 @@ class Api:
         def effect() -> None:
             m.holder = None
 
-        ctx.visible_nonblocking(op, effect)
+        ctx.visible(op, effect)
 
     def mutex_trylock(self, m: ShadowMutex) -> bool:
         """Single acquisition attempt; never blocks, reports success."""
@@ -238,7 +223,7 @@ class Api:
                 return True
             return False
 
-        return ctx.visible_nonblocking(op, effect)
+        return ctx.visible(op, effect)
 
     # -- semaphores ---------------------------------------------------------------
 
@@ -248,13 +233,10 @@ class Api:
         me = ctx.current_tid()
         op = make_visible_op(Token.WAITING, ThreadId(me), AccessKind.WRITE, s.oid)
 
-        def attempt() -> bool:
-            if s.count > 0:
-                s.count -= 1
-                return True
-            return False
+        def effect() -> None:
+            s.count -= 1
 
-        ctx.visible_waiting(op, _WaitingOp(ready=lambda: s.count > 0, attempt=attempt))
+        ctx.visible(op, effect, ready=lambda: s.count > 0)
 
     def sem_post(self, s: ShadowSemaphore) -> None:
         ctx = self._ctx
@@ -265,7 +247,7 @@ class Api:
         def effect() -> None:
             s.count += 1
 
-        ctx.visible_nonblocking(op, effect)
+        ctx.visible(op, effect)
 
     # -- condition variables ---------------------------------------------------------
 
@@ -275,9 +257,10 @@ class Api:
         A signal already pending is consumed in a single scheduling step
         without releasing the mutex. Otherwise the mutex is released and
         the waiter registered atomically (still inside the caller's
-        current partition), and the wake-up consumes the signal and
-        reacquires the mutex in a single atomic attempt, so one signal
-        releases exactly one waiter.
+        current partition), and the wake-up, which can pass only once the
+        signal is set and the mutex free, consumes the signal and
+        reacquires the mutex in a single step, so one signal releases
+        exactly one waiter.
         """
         ctx = self._ctx
         self._check_owned(c)
@@ -288,28 +271,21 @@ class Api:
         op = make_visible_op(Token.WAITING, ThreadId(me), AccessKind.WRITE, c.oid)
 
         if c.signal_flag == 1:
-            def consume() -> bool:
+            def consume() -> None:
                 c.signal_flag = 0
-                return True
 
-            ctx.visible_waiting(op, _WaitingOp(ready=lambda: True, attempt=consume))
+            ctx.visible(op, consume)  # a pending signal always passes
             return
 
         m.holder = None
         c.waiters += 1
 
-        def ready() -> bool:
-            return c.signal_flag == 1 and m.holder is None
+        def wake() -> None:
+            m.holder = me
+            c.waiters -= 1
+            c.signal_flag = 0
 
-        def attempt() -> bool:
-            if c.signal_flag == 1 and m.holder is None:
-                m.holder = me
-                c.waiters -= 1
-                c.signal_flag = 0
-                return True
-            return False
-
-        ctx.visible_waiting(op, _WaitingOp(ready=ready, attempt=attempt))
+        ctx.visible(op, wake, ready=lambda: c.signal_flag == 1 and m.holder is None)
 
     def cond_signal(self, c: ShadowCondVar) -> None:
         """Set the signal flag; lost when nobody is waiting."""
@@ -322,7 +298,7 @@ class Api:
             if c.waiters > 0:
                 c.signal_flag = 1
 
-        ctx.visible_nonblocking(op, effect)
+        ctx.visible(op, effect)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import io
+import re
 import socket
 import threading
 
@@ -86,6 +88,24 @@ def test_decode_rejects_malformed_records():
         decode_point("depth=1 pending=2")
     with pytest.raises(DispatchError):
         decode_point("what even is this")
+    for record in (
+        "depth=x iter=0 done= pending=1 prefix=",
+        "depth=2 iter=0 done= pending=1 prefix=0",
+    ):
+        with pytest.raises(DispatchError, match=re.escape(record)):
+            decode_point(record)
+
+
+def test_non_numeric_counts_are_rejected(tmp_path):
+    with pytest.raises(DispatchError, match="'DONE x'"):
+        send_workload(io.StringIO("HELLO 1\nDONE x\n"), io.StringIO(), Workload(node_id=1))
+    with pytest.raises(DispatchError, match="'WORKLOAD -1'"):
+        serve_worker(
+            io.StringIO("WORKLOAD -1\n"),
+            io.StringIO(),
+            get_program("spin-flag"),
+            ExplorationConfig(out_dir=tmp_path, node_id=1),
+        )
 
 
 def test_report_codec_round_trip(tmp_path):

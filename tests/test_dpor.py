@@ -1,7 +1,6 @@
 from shadowcheck import DONT_CARE, AccessKind, ObjectId, ThreadId, Token, make_visible_op
 from shadowcheck.dpor import (
     ExecutionLog,
-    co_enabled,
     dependent,
     dependent_subset,
     is_backtrack_point,
@@ -48,12 +47,6 @@ def _log(entries):
     for step_op, enabled in entries:
         log.append(step_op, frozenset(enabled))
     return log
-
-
-def test_co_enabled_is_snapshot_membership():
-    log = _log([(op(1, AccessKind.WRITE, 0), {1, 2}), (op(2, AccessKind.WRITE, 0), {2})])
-    assert co_enabled(log, 0, 2)
-    assert not co_enabled(log, 1, 1)
 
 
 def test_on_execute_adds_at_last_dependent_transition():

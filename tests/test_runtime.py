@@ -6,6 +6,7 @@ import time
 import pytest
 
 from shadowcheck import Api, ProgramHandle, runtime
+from shadowcheck.cli import run as run_cli
 from shadowcheck.corpus import get_program
 from shadowcheck.errors import ProtocolError
 from shadowcheck.explorer import ExplorationConfig, explore
@@ -193,3 +194,72 @@ def test_race_counts_a_spawned_child_before_its_spawner():
         (1, 0, AccessKind.WRITE),
         (2, 1, AccessKind.READ),
     ]
+
+
+def test_every_grant_takes_effect(tmp_path, monkeypatch):
+    # A wait that cannot pass is settled by the runner without a grant, so
+    # each grant executes one step; those yields are still decisions.
+    grants = []
+    original = runtime.ExecutionContext.grant
+
+    def grant(ctx, tid):
+        grants.append(tid)
+        return original(ctx, tid)
+
+    monkeypatch.setattr(runtime.ExecutionContext, "grant", grant)
+    steps = decisions = 0
+
+    def tally(result):
+        nonlocal steps, decisions
+        steps += len(result.trace.steps)
+        decisions += len(result.decisions)
+
+    explore(
+        get_program("livelock-philosophers"),
+        ExplorationConfig(out_dir=tmp_path, bound=18),
+        iteration_callback=tally,
+    )
+    assert len(grants) == steps
+    assert decisions > steps
+
+
+def test_a_granted_wait_that_cannot_pass_is_a_protocol_error(monkeypatch):
+    # Were the runner to take a blocked lock for ready, the grant must fail
+    # loudly before the lock changes hands, not yield and carry on.
+    monkeypatch.setattr(IterationRunner, "_ready", lambda self, tid: True)
+    mutexes = []
+
+    def entry(api: Api) -> None:
+        m = api.new_mutex()
+        mutexes.append(m)
+        cell = api.register_shared(0)
+        child = api.spawn_thread(lambda a: (a.mutex_lock(m), a.mutex_unlock(m)))
+        api.mutex_lock(m)
+        for value in range(3):
+            api.write(cell, value)
+        api.mutex_unlock(m)
+        api.join(child)
+
+    with pytest.raises(ProtocolError, match="cannot pass"):
+        run_once(entry, race_enabled=False, hang_timeout=10.0)
+    assert mutexes[0].holder == 0
+
+
+def test_the_step_that_trips_the_bound_is_recorded():
+    def entry(api: Api) -> None:
+        cell = api.register_shared(0)
+        for value in range(10):
+            api.write(cell, value)
+
+    within = run_once(entry, bound=10)
+    assert (within.outcome, len(within.trace.steps)) == (IterationOutcome.NORMAL_END, 10)
+    tripped = run_once(entry, bound=4)
+    assert tripped.outcome is IterationOutcome.LIVELOCK_CANDIDATE
+    assert len(tripped.trace.steps) == 5
+
+
+def test_a_bound_below_one_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="depth bound must be >= 1"):
+        IterationRunner(ProgramHandle(name="t", entry=_increment_twice), bound=0)
+    argv = ["check", "--program", "deadlock-two-mutexes", "--out", str(tmp_path), "--bound", "0"]
+    assert run_cli(argv) == 2

@@ -11,14 +11,7 @@ from shadowcheck import (
     Trace,
     make_visible_op,
 )
-from shadowcheck.scheduler import (
-    BoundCheck,
-    IterationOutcome,
-    Scheduler,
-    check_bound,
-    classify_overrun,
-    estimate_bound,
-)
+from shadowcheck.scheduler import IterationOutcome, Scheduler, classify_overrun, estimate_bound
 
 
 def nb_op(tid):
@@ -49,18 +42,11 @@ def test_estimate_bound_rejects_bad_input():
         estimate_bound([2, 0])
 
 
-def test_check_bound_records_the_tripping_step():
-    assert check_bound(25, 25) is BoundCheck.CONTINUE
-    assert check_bound(26, 25) is BoundCheck.EXCEEDED
-    with pytest.raises(ValueError):
-        check_bound(3, 0)
-
-
 def test_all_ended_signals_normal_end():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
     assert sch.pick_next() == 0
-    sch.on_nonblocking_complete(0)
+    sch.on_progress(0)
     sch.on_end(0)
     assert sch.pick_next() is IterationOutcome.NORMAL_END
 
@@ -91,7 +77,7 @@ def test_yielded_thread_excluded_until_another_progresses():
     sch.on_yield(0)
     # Thread 0 is parked; only thread 1 is pickable now.
     assert sch.pick_next() == 1
-    sch.on_nonblocking_complete(1)
+    sch.on_progress(1)
     sch.on_announce(1, nb_op(1))
     # Progress happened, so thread 0 is worth retrying; its dropped
     # priority keeps it behind the thread that progressed.
@@ -120,7 +106,7 @@ def test_hunger_aging_services_a_starved_thread():
     for _ in range(6):
         tid = sch.pick_next()
         picks.append(tid)
-        sch.on_nonblocking_complete(tid)
+        sch.on_progress(tid)
         sch.on_announce(tid, nb_op(tid))
     # Tid order alone would pick 0 forever; aging must hand 1 a turn
     # within the fairness window (2 x 2 live threads).
@@ -132,7 +118,7 @@ def test_pass_without_permit_is_a_protocol_error():
     sch = scheduler_with([0])
     sch.on_announce(0, wait_op(0))
     with pytest.raises(ProtocolError):
-        sch.on_pass(0)
+        sch.on_progress(0)
 
 
 def test_announce_from_ended_thread_rejected():
@@ -147,7 +133,7 @@ def test_replay_follows_the_trace_exactly():
     sch.on_announce(0, nb_op(0))
     sch.on_announce(1, nb_op(1))
     assert sch.pick_next(1, "replay") == 1
-    sch.on_nonblocking_complete(1)
+    sch.on_progress(1)
     sch.on_announce(1, nb_op(1))
     assert sch.pick_next(0, "replay") == 0
     assert [d.mode for d in sch.decisions] == ["replay", "replay"]
@@ -173,7 +159,7 @@ def test_decision_log_line_format():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
     sch.pick_next()
-    assert sch.decision_log_lines() == ["step=0 pick=0 mode=free"]
+    assert [d.debug_line() for d in sch.decisions] == ["step=0 pick=0 mode=free"]
 
 
 def test_replayed_starving_schedule_ends_in_a_bound_warning():

@@ -349,7 +349,7 @@ def test_two_waiters_one_signal_releases_exactly_one(tmp_path):
 def test_failed_try_leaves_shadow_state_unchanged():
     # A waiting operation that yields must not move any shadow fields:
     # observable as identical shadow states for the same schedule even
-    # though the losing thread was granted (and failed) in between.
+    # though the losing thread was picked (and yielded) in between.
     def entry(api: Api) -> None:
         m = api.new_mutex()
         cell = api.register_shared(0)
@@ -360,7 +360,7 @@ def test_failed_try_leaves_shadow_state_unchanged():
             a.mutex_unlock(m)
 
         tid = api.spawn_thread(contender)
-        api.write(cell, 1)  # contender's failed tries interleave here
+        api.write(cell, 1)  # contender's yields interleave here
         api.mutex_unlock(m)
         api.join(tid)
 
