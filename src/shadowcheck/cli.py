@@ -16,7 +16,7 @@ from .corpus import PROGRAMS, get_program
 from .errors import CheckerError, ProtocolError, ReplayDivergenceError, UsageError
 from .explorer import ExplorationConfig, explore
 from .scheduler import estimate_bound
-from .tracer import parse_trace, recorded_bound, replay
+from .tracer import parse_trace, recorded_run, replay
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -120,11 +120,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program)
     trace = parse_trace(args.trace)
-    bound = args.bound
-    if bound is None:
-        # A trace lives in <out>/traces/; the run's report is <out>/report.txt.
-        bound = recorded_bound(Path(args.trace).resolve().parent.parent / "report.txt")
-    report = replay(program, trace, bound=bound, race_enabled=not args.no_race)
+    # A trace lives in <out>/traces/; the run's report is <out>/report.txt.
+    bound, strict = recorded_run(Path(args.trace).resolve().parent.parent / "report.txt")
+    report = replay(
+        program,
+        trace,
+        bound=bound if args.bound is None else args.bound,
+        race_enabled=not args.no_race,
+        strict_races=strict,
+    )
     sys.stdout.write(report.op_log_text())
     print(f"outcome={report.outcome.value}")
     return EXIT_VIOLATIONS if report.violation_kind is not None else EXIT_CLEAN

@@ -236,6 +236,7 @@ class Explorer:
             keep_all_traces=config.keep_all_traces,
             file_prefix=prefix,
             bound=self.bound,
+            strict_races=config.strict_races,
         )
         self.store = BacktrackStore(out_dir / f"btstore.node{config.node_id}")
         self.iteration_callback = iteration_callback

@@ -2,10 +2,11 @@
 
 Program threads are real threads, but control is handed from one thread
 to the next, so at most one of them runs at a time. The runner thread
-makes every scheduling decision. A pick whose waiting operation cannot
-pass is settled there, without handing over control; every other pick
-opens the chosen thread's permit gate and waits on the runner's own gate.
-So a grant always takes effect: the granted thread performs its
+asks the scheduler for every decision, together with the set of threads
+whose pending operation can pass; a pick that cannot pass is settled
+inside that call, without handing over control. The runner opens the
+granted thread's permit gate and waits on its own gate. So a grant
+always takes effect: the granted thread performs its
 operation and runs on to its next boundary (its next announcement or its
 end). There, still in control, it records the boundary in the scheduler
 itself and opens the gate of whoever handed it control, then waits on
@@ -44,7 +45,7 @@ from .dpor import ExecutedStep, ExecutionLog
 from .errors import CheckerStoppedError, ProtocolError
 from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
 from .race import RaceDetector
-from .scheduler import Decision, IterationOutcome, Scheduler, ThreadState, classify_overrun
+from .scheduler import Decision, IterationOutcome, Scheduler, classify_overrun
 from .shadow import Api, ProgramHandle, SharedCell
 
 
@@ -72,8 +73,6 @@ class _Host:
     # Set before this thread hands control back, cleared when it is granted
     # again: teardown wakes the parked threads and waits until they finish.
     parked: bool = False
-    # The pending operation's pass condition; None when it always passes.
-    ready: Callable[[], bool] | None = None
     announced_at: int = 0  # trace depth current at the last announcement
 
 
@@ -123,7 +122,7 @@ class ExecutionContext:
         return tid in self.hosts
 
     def thread_ended(self, tid: int) -> bool:
-        return self.scheduler.status_of(tid).state is ThreadState.ENDED
+        return self.scheduler.status_of(tid).ended
 
     def visible(
         self, op: VisibleOp, effect: Callable[[], Any], ready: Callable[[], bool] | None = None
@@ -131,12 +130,11 @@ class ExecutionContext:
         """Announce ``op``, park until granted, then take ``effect``.
 
         A waiting operation passes only once ``ready()`` holds, and the
-        runner grants it only then; a grant that finds it false is a
-        runner bug, raised before the effect can touch shadow state.
+        scheduler grants it only then; a grant that finds it false is a
+        checker bug, raised before the effect can touch shadow state.
         """
         host = self._current_host()
-        host.ready = ready
-        self._park(host, op)
+        self._park(host, op, ready)
         if ready is not None and not ready():
             raise ProtocolError(f"thread {host.tid} granted {op.to_wire()}, which cannot pass")
         result = effect()
@@ -195,9 +193,9 @@ class ExecutionContext:
             self.race.on_pending(oid, kind)
         self.announced.clear()
 
-    def _park(self, host: _Host, op: VisibleOp) -> None:
+    def _park(self, host: _Host, op: VisibleOp, ready: Callable[[], bool] | None) -> None:
         host.announced_at = len(self.log)
-        self._boundary(host, self.scheduler.on_announce, op)
+        self._boundary(host, self.scheduler.on_announce, op, ready)
         self._wait_permit(host)
 
     def _boundary(self, host: _Host, note: Callable[..., None], *args: Any) -> None:
@@ -392,25 +390,19 @@ class IterationRunner:
         while True:
             if self._race_fired():
                 return self._finish(IterationOutcome.DATA_RACE)
-            # Replayed steps of a recorded trace never yield, so the log's
-            # length is the replay position; a yield there is a divergence
-            # that the next prescription of the same thread reports.
+            pre_ops = sch.pending_ops()
+            enabled = sch.enabled(pre_ops)
+            # Every pick grants a step: the log's length is the replay position.
             prescribed, mode = None, "free"
             if len(log) < len(replay):
                 prescribed, mode = replay[len(log)], "replay"
             elif branch_pending:
-                prescribed, mode = self.plan.pick_branch(sch.pending_ops()), "force"
+                prescribed, mode = self.plan.pick_branch(pre_ops), "force"
                 branch_pending = False
 
-            tid = sch.pick_next(prescribed, mode, len(log))
+            tid = sch.pick_next(prescribed, mode, len(log), enabled=enabled)
             if isinstance(tid, IterationOutcome):
                 return self._finish(tid)
-
-            pre_ops = sch.pending_ops()
-            enabled = frozenset(t for t in pre_ops if self._ready(t))
-            if tid not in enabled:
-                sch.on_yield(tid)  # its wait cannot pass: nothing happens
-                continue
             ctx.grant(tid)
             step = log.append(pre_ops[tid], enabled)
             if self.step_hook is not None:
@@ -422,7 +414,8 @@ class IterationRunner:
                 live = sch.live_tids()
                 if not live:
                     continue  # the tripping step completed the program
-                live_ready = {t: self._ready(t) for t in live}
+                ready = sch.enabled(live)
+                live_ready = {t: t in ready for t in live}
                 if classify_overrun(self._trace(), live_ready):
                     return self._finish(IterationOutcome.LIVELOCK_CANDIDATE)
                 return self._finish(IterationOutcome.BOUND_WARNING)
@@ -461,11 +454,6 @@ class IterationRunner:
             if streak > window:
                 unfair = True
         return unfair and self.unfair_prune and mode != "replay"
-
-    def _ready(self, tid: int) -> bool:
-        """Could this live thread's pending operation progress right now?"""
-        ready = self.ctx.hosts[tid].ready
-        return ready is None or ready()
 
     def _race_fired(self) -> bool:
         return self.ctx.race is not None and self.ctx.race.fired is not None

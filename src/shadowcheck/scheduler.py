@@ -1,12 +1,15 @@
 """The fair, non-preemptive scheduler.
 
-Threads announce one visible operation at a time and the scheduler grants
-permits one at a time, so program execution is fully serialized. When the
-pick is a waiting operation that cannot pass, the runner settles it
-without handing the thread control: the thread yields and leaves the
-pickable set until some other thread makes progress (the shared state
-cannot have changed before then). A yield also drops the thread's
-priority below everyone who has progressed since.
+Threads announce one visible operation at a time, each with its pass
+condition, and the scheduler grants permits one at a time, so program
+execution is fully serialized. The runner asks the scheduler which
+pending operations can pass (``enabled``) and hands that set to
+``pick_next``, which grants only one of them. A free pick whose waiting
+operation cannot pass is a yield, settled inside the same call: it is
+recorded as a decision, the thread drops below every live thread's
+priority and leaves the candidates, and the pick goes on. When no
+candidate is left the state is a deadlock. Every grant is followed by
+progress, so a yield never outlives the pick that made it.
 
 Fairness is enforced by starvation aging: a thread that stays pickable for
 ``live_count`` consecutive decisions without being granted is serviced
@@ -21,14 +24,15 @@ prescribes each replayed or forced step to ``pick_next``, which checks
 that the thread can run and grants it; without a prescription it picks
 freely by the rules above.
 
-Decisions are recorded in a log (one entry per pick, including picks
-that end in a yield); the trace records only picks that progressed.
+Decisions are recorded in a log (one entry per pick, yields included);
+the trace records only granted picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterable
 
 from .errors import ProtocolError, ReplayDivergenceError
 from .model import Trace, VisibleOp
@@ -38,19 +42,15 @@ from .model import Trace, VisibleOp
 WINDOW_FACTOR = 2
 
 
-class ThreadState(Enum):
-    RUNNABLE = "runnable"
-    YIELDED = "yielded"
-    ENDED = "ended"
-
-
 @dataclass
 class ThreadStatus:
     """Scheduler-side record for one program thread."""
 
     tid: int
-    state: ThreadState = ThreadState.RUNNABLE
+    ended: bool = False
     pending_op: VisibleOp | None = None
+    # The pending operation's pass condition; None when it always passes.
+    ready: Callable[[], bool] | None = None
     priority: int = 0
     hunger: int = 0
 
@@ -82,92 +82,96 @@ class Scheduler:
             raise ProtocolError(f"thread {tid} registered twice")
         self._threads[tid] = ThreadStatus(tid=tid)
 
-    def on_announce(self, tid: int, op: VisibleOp) -> None:
+    def on_announce(
+        self, tid: int, op: VisibleOp, ready: Callable[[], bool] | None = None
+    ) -> None:
         status = self._status(tid)
-        if status.state is ThreadState.ENDED:
+        if status.ended:
             raise ProtocolError(f"ended thread {tid} announced {op.to_wire()}")
         if self._granted == tid:
             # The announce is the partition boundary: the permit comes home.
             self._granted = None
         status.pending_op = op
-        status.state = ThreadState.RUNNABLE
+        status.ready = ready
 
     def on_end(self, tid: int) -> None:
         status = self._status(tid)
-        status.state = ThreadState.ENDED
+        status.ended = True
         status.pending_op = None
         if self._granted == tid:
             self._granted = None
 
     # -- permit protocol ----------------------------------------------------
 
-    def on_yield(self, tid: int) -> None:
-        """The picked waiting operation cannot pass; nothing changed."""
-        if self._granted != tid:
-            raise ProtocolError(f"yield from thread {tid} without the permit")
-        self._granted = None
-        status = self._status(tid)
-        status.state = ThreadState.YIELDED
-        live_priorities = [
-            t.priority for t in self._threads.values() if t.state is not ThreadState.ENDED
-        ]
-        status.priority = min(live_priorities) - 1
-
     def on_progress(self, tid: int) -> None:
         """The granted operation took effect."""
         if self._granted != tid:
             raise ProtocolError(f"progress from thread {tid} without the permit")
-        status = self._status(tid)
-        status.priority = 0
-        # The shared state changed: every parked waiter is worth retrying.
-        for other in self._threads.values():
-            if other.tid != tid and other.state is ThreadState.YIELDED:
-                other.state = ThreadState.RUNNABLE
+        self._status(tid).priority = 0
 
     # -- the decision -------------------------------------------------------
 
+    def enabled(self, tids: Iterable[int]) -> frozenset[int]:
+        """The threads among ``tids`` whose pending operation can pass now."""
+        return frozenset(
+            tid for tid in tids if (ready := self._threads[tid].ready) is None or ready()
+        )
+
     def pick_next(
-        self, prescribed: int | None = None, mode: str = "free", step: int = 0
+        self,
+        prescribed: int | None = None,
+        mode: str = "free",
+        step: int = 0,
+        *,
+        enabled: frozenset[int],
     ) -> int | IterationOutcome:
         """Grant ``prescribed`` (a replayed or forced step) or pick freely.
 
-        ``step`` is the trace position the grant would execute; it only
-        locates a prescribed thread that cannot run.
+        Only a thread in ``enabled`` is granted: a free pick outside it
+        yields and the pick goes on, a prescribed one raises. ``step`` is
+        the trace position the grant would execute; it only locates a
+        prescribed thread that cannot run.
         """
         if self._granted is not None:
             raise ProtocolError("pick requested while a permit is outstanding")
-        live = [t for t in self._threads.values() if t.state is not ThreadState.ENDED]
+        live = [t for t in self._threads.values() if not t.ended]
         if not live:
             return IterationOutcome.NORMAL_END
-        runnable = [t for t in live if t.state is ThreadState.RUNNABLE]
-        if not runnable:
-            return IterationOutcome.DEADLOCK
-
+        runnable = list(live)
         if prescribed is not None:
             chosen = self._threads.get(prescribed)
-            if chosen is None or chosen.state is not ThreadState.RUNNABLE:
+            if chosen is None or chosen.ended or prescribed not in enabled:
                 raise ReplayDivergenceError(
                     f"{mode} schedules thread {prescribed}, which cannot run", step
                 )
         else:
-            hungry = [t for t in runnable if t.hunger >= self._aging_threshold(len(live))]
-            if hungry:
-                chosen = max(hungry, key=lambda t: (t.hunger, -t.tid))
-            else:
-                chosen = max(runnable, key=lambda t: (t.priority, -t.tid))
-        return self._grant(chosen, mode, runnable, len(live))
+            chosen = self._choose(runnable, len(live))
+            while chosen.tid not in enabled:  # a yield: recorded, demoted, dropped
+                self._record(chosen, mode, runnable, len(live))
+                chosen.priority = min(t.priority for t in live) - 1
+                runnable.remove(chosen)
+                if not runnable:
+                    return IterationOutcome.DEADLOCK
+                chosen = self._choose(runnable, len(live))
+        self._record(chosen, mode, runnable, len(live))
+        self._granted = chosen.tid
+        return chosen.tid
 
-    def _aging_threshold(self, live_count: int) -> int:
-        return max(1, live_count)
+    @staticmethod
+    def _choose(runnable: list[ThreadStatus], live: int) -> ThreadStatus:
+        """A thread starved for ``live`` decisions first, else the highest priority."""
+        hungry = [t for t in runnable if t.hunger >= live]
+        if hungry:
+            return max(hungry, key=lambda t: (t.hunger, -t.tid))
+        return max(runnable, key=lambda t: (t.priority, -t.tid))
 
-    def _grant(
+    def _record(
         self, status: ThreadStatus, mode: str, runnable: list[ThreadStatus], live: int
-    ) -> int:
+    ) -> None:
         for other in runnable:
             if other.tid != status.tid:
                 other.hunger += 1
         status.hunger = 0
-        self._granted = status.tid
         self.decisions.append(
             Decision(
                 index=len(self.decisions),
@@ -177,22 +181,15 @@ class Scheduler:
                 live=live,
             )
         )
-        return status.tid
 
     # -- introspection --------------------------------------------------------
 
     def pending_ops(self) -> dict[int, VisibleOp]:
         """Announced ops of all live parked threads."""
-        return {
-            t.tid: t.pending_op
-            for t in self._threads.values()
-            if t.state is not ThreadState.ENDED and t.pending_op is not None
-        }
+        return {t.tid: t.pending_op for t in self._threads.values() if t.pending_op is not None}
 
     def live_tids(self) -> list[int]:
-        return sorted(
-            t.tid for t in self._threads.values() if t.state is not ThreadState.ENDED
-        )
+        return sorted(t.tid for t in self._threads.values() if not t.ended)
 
     def status_of(self, tid: int) -> ThreadStatus:
         return self._status(tid)

@@ -6,8 +6,9 @@ Violating iterations keep their trace under a distinguished name
 (``bt_<n>_deadlock``, ``bt_<n>_livelock``, ``data_race<n>``); clean
 iterations are deleted unless retention is requested. A trace fixes the
 schedule but not the depth bound, which decides whether an execution ends
-as a livelock candidate; ``report.txt`` records the run's bound in its
-header so a replay can use it.
+as a livelock candidate, nor the race mode, which decides whether a
+writer-writer overlap is a race; ``report.txt`` records both in its
+header so a replay can use them.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .runtime import IterationResult, IterationRunner, SchedulePlan
 from .scheduler import IterationOutcome, default_bound
 from .shadow import ProgramHandle
 
-_OUTCOME_SUFFIX = {
-    IterationOutcome.DEADLOCK: "deadlock",
-    IterationOutcome.LIVELOCK_CANDIDATE: "livelock",
+_VIOLATION_OF_OUTCOME = {
+    IterationOutcome.DEADLOCK: ViolationKind.DEADLOCK,
+    IterationOutcome.LIVELOCK_CANDIDATE: ViolationKind.LIVELOCK,
+    IterationOutcome.DATA_RACE: ViolationKind.DATA_RACE,
 }
 
 
@@ -67,6 +69,7 @@ class TraceSink:
         keep_all_traces: bool = False,
         file_prefix: str = "",
         bound: int | None = None,
+        strict_races: bool = False,
     ) -> None:
         self.out_dir = Path(out_dir)
         self.trace_dir = self.out_dir / "traces"
@@ -74,6 +77,7 @@ class TraceSink:
         self.keep_all_traces = keep_all_traces
         self.file_prefix = file_prefix
         self.bound = bound
+        self.strict_races = strict_races
         self.violations: list[ViolationReport] = []
         self._open: dict[int, list[int]] = {}
 
@@ -102,21 +106,17 @@ class TraceSink:
         name: str | None = None
         violation: ViolationReport | None = None
 
-        if result.outcome in _OUTCOME_SUFFIX:
-            name = f"{self.file_prefix}bt_{result.iteration}_{_OUTCOME_SUFFIX[result.outcome]}"
-            kind = (
-                ViolationKind.DEADLOCK
-                if result.outcome is IterationOutcome.DEADLOCK
-                else ViolationKind.LIVELOCK
+        kind = _VIOLATION_OF_OUTCOME.get(result.outcome)
+        if kind is not None:
+            race = kind is ViolationKind.DATA_RACE
+            name = self.file_prefix + (
+                f"data_race{result.iteration}" if race else f"bt_{result.iteration}_{kind.value}"
             )
-            violation = ViolationReport(kind=kind, iteration=result.iteration, trace=trace)
-        elif result.outcome is IterationOutcome.DATA_RACE:
-            name = f"{self.file_prefix}data_race{result.iteration}"
             violation = ViolationReport(
-                kind=ViolationKind.DATA_RACE,
+                kind=kind,
                 iteration=result.iteration,
                 trace=trace,
-                race_detail=result.race_detail,
+                race_detail=result.race_detail if race else None,
             )
         elif self.keep_all_traces:
             name = f"{self.file_prefix}trace_{result.iteration}"
@@ -134,31 +134,34 @@ class TraceSink:
             self.violations.append(violation)
         return violation
 
-    def write_report(self, extra: list[ViolationReport] | None = None) -> Path:
-        """Write ``report.txt``: a header with the timestamp and the depth
-        bound (when known), plus one line per violation."""
+    def write_report(self) -> Path:
+        """Write ``report.txt``: a header with the timestamp, the depth
+        bound (when known) and ``races=strict`` under strict race
+        detection, plus one line per violation."""
         header = f"# generated {datetime.datetime.now().isoformat()}"
         if self.bound is not None:
             header += f" bound={self.bound}"
+        if self.strict_races:
+            header += " races=strict"
         lines = [header]
-        for v in self.violations + list(extra or ()):
+        for v in self.violations:
             lines.append(summary_line(v))
         path = self.out_dir / "report.txt"
         path.write_text("".join(line + "\n" for line in lines))
         return path
 
 
-def recorded_bound(report: str | Path) -> int | None:
-    """The depth bound in a ``report.txt`` header, or None if there is none."""
+def recorded_run(report: str | Path) -> tuple[int | None, bool]:
+    """The depth bound (None if there is none) and whether races were
+    strict, from a ``report.txt`` header; a missing report gives neither."""
     try:
         with open(report) as lines:
             header = lines.readline()
     except FileNotFoundError:
-        return None
-    for field in header.split()[2:]:
-        if field.startswith("bound="):
-            return int(field[len("bound="):])
-    return None
+        return None, False
+    fields = dict(field.split("=", 1) for field in header.split()[2:] if "=" in field)
+    bound = fields.get("bound")
+    return (None if bound is None else int(bound)), fields.get("races") == "strict"
 
 
 def summary_line(v: ViolationReport) -> str:
@@ -185,13 +188,6 @@ class ReplayReport:
         return "".join(op.to_wire() + "\n" for op in self.op_log)
 
 
-_VIOLATION_OF_OUTCOME = {
-    IterationOutcome.DEADLOCK: ViolationKind.DEADLOCK,
-    IterationOutcome.LIVELOCK_CANDIDATE: ViolationKind.LIVELOCK,
-    IterationOutcome.DATA_RACE: ViolationKind.DATA_RACE,
-}
-
-
 def replay(
     program: ProgramHandle,
     trace: Trace,
@@ -204,7 +200,7 @@ def replay(
 
     For a violation trace the violation fires at (or immediately after)
     the recorded steps; a clean trace simply completes its execution. A
-    step whose thread cannot run, or yields, raises
+    step whose thread cannot run or whose operation cannot pass raises
     ``ReplayDivergenceError`` carrying the step's position. Without a
     ``bound`` the program's default applies, as in an exploration that
     names none.

@@ -70,6 +70,19 @@ def test_replay_uses_the_bound_of_the_run(tmp_path, capsys):
     assert "outcome=normal-end" in capsys.readouterr().out
 
 
+def test_replay_uses_the_race_mode_of_the_run(tmp_path, capsys):
+    # Only strict detection calls the writer-writer overlap a race, so the
+    # trace must replay under the mode its run recorded.
+    args = ["--program", "two-writes-dependent"]
+    assert run(["check", *args, "--out", str(tmp_path), "--strict-races"]) == 1
+    header = (tmp_path / "report.txt").read_text().splitlines()[0]
+    assert header.endswith(" races=strict")
+    capsys.readouterr()
+    trace = tmp_path / "traces" / "data_race0"
+    assert run(["replay", *args, "--trace", str(trace)]) == 1
+    assert "outcome=data-race" in capsys.readouterr().out
+
+
 def test_report_is_deterministic_modulo_timestamp(tmp_path):
     for sub in ("a", "b"):
         assert (

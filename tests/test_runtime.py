@@ -8,11 +8,11 @@ import pytest
 from shadowcheck import Api, ProgramHandle, runtime
 from shadowcheck.cli import run as run_cli
 from shadowcheck.corpus import get_program
-from shadowcheck.errors import ProtocolError
+from shadowcheck.errors import ProtocolError, ReplayDivergenceError
 from shadowcheck.explorer import ExplorationConfig, explore
 from shadowcheck.model import AccessKind, ObjectId, RaceDetail
-from shadowcheck.runtime import IterationRunner
-from shadowcheck.scheduler import IterationOutcome
+from shadowcheck.runtime import IterationRunner, SchedulePlan
+from shadowcheck.scheduler import IterationOutcome, Scheduler
 
 
 class ProgramBug(Exception):
@@ -197,8 +197,8 @@ def test_race_counts_a_spawned_child_before_its_spawner():
 
 
 def test_every_grant_takes_effect(tmp_path, monkeypatch):
-    # A wait that cannot pass is settled by the runner without a grant, so
-    # each grant executes one step; those yields are still decisions.
+    # A wait that cannot pass is settled inside the pick without a grant,
+    # so each grant executes one step; those yields are still decisions.
     grants = []
     original = runtime.ExecutionContext.grant
 
@@ -224,9 +224,9 @@ def test_every_grant_takes_effect(tmp_path, monkeypatch):
 
 
 def test_a_granted_wait_that_cannot_pass_is_a_protocol_error(monkeypatch):
-    # Were the runner to take a blocked lock for ready, the grant must fail
+    # Were the scheduler to take a blocked lock for enabled, the grant must fail
     # loudly before the lock changes hands, not yield and carry on.
-    monkeypatch.setattr(IterationRunner, "_ready", lambda self, tid: True)
+    monkeypatch.setattr(Scheduler, "enabled", lambda self, tids: frozenset(tids))
     mutexes = []
 
     def entry(api: Api) -> None:
@@ -243,6 +243,23 @@ def test_a_granted_wait_that_cannot_pass_is_a_protocol_error(monkeypatch):
     with pytest.raises(ProtocolError, match="cannot pass"):
         run_once(entry, race_enabled=False, hang_timeout=10.0)
     assert mutexes[0].holder == 0
+
+
+def test_a_forced_branch_that_cannot_run_raises():
+    # Main takes m and spawns a child whose first operation locks m: the
+    # child cannot pass at step 2, so forcing it there is a divergence,
+    # not a silent fall-back to a free pick of main.
+    def entry(api: Api) -> None:
+        m = api.new_mutex()
+        api.mutex_lock(m)
+        child = api.spawn_thread(lambda a: (a.mutex_lock(m), a.mutex_unlock(m)))
+        api.mutex_unlock(m)
+        api.join(child)
+
+    plan = SchedulePlan(replay=[0, 0], pick_branch=lambda ops: 1)
+    with pytest.raises(ReplayDivergenceError) as err:
+        run_once(entry, plan=plan, race_enabled=False, hang_timeout=10.0)
+    assert err.value.step_index == 2
 
 
 def test_the_step_that_trips_the_bound_is_recorded():

@@ -45,43 +45,50 @@ def test_estimate_bound_rejects_bad_input():
 def test_all_ended_signals_normal_end():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
-    assert sch.pick_next() == 0
+    assert sch.pick_next(enabled=frozenset({0})) == 0
     sch.on_progress(0)
     sch.on_end(0)
-    assert sch.pick_next() is IterationOutcome.NORMAL_END
+    assert sch.pick_next(enabled=frozenset()) is IterationOutcome.NORMAL_END
 
 
 def test_all_yielded_signals_deadlock():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, wait_op(0))
     sch.on_announce(1, wait_op(1))
-    tid = sch.pick_next()
-    sch.on_yield(tid)
-    tid = sch.pick_next()
-    sch.on_yield(tid)
-    assert sch.pick_next() is IterationOutcome.DEADLOCK
+    assert sch.pick_next(enabled=frozenset()) is IterationOutcome.DEADLOCK
+    # Both waits were tried, once each, inside the one pick.
+    assert [(d.pick, d.candidates) for d in sch.decisions] == [(0, (0, 1)), (1, (1,))]
+
+
+def test_enabled_evaluates_each_announced_pass_condition():
+    sch = scheduler_with([0, 1, 2])
+    sch.on_announce(0, wait_op(0), ready=lambda: False)
+    sch.on_announce(1, wait_op(1), ready=lambda: True)
+    sch.on_announce(2, nb_op(2))
+    assert sch.enabled([0, 1, 2]) == {1, 2}
 
 
 def test_lowest_tid_wins_fresh_ties():
     sch = scheduler_with([0, 1, 2])
     for tid in (0, 1, 2):
         sch.on_announce(tid, nb_op(tid))
-    assert sch.pick_next() == 0
+    assert sch.pick_next(enabled=frozenset({0, 1, 2})) == 0
 
 
 def test_yielded_thread_excluded_until_another_progresses():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, wait_op(0))
     sch.on_announce(1, nb_op(1))
-    assert sch.pick_next() == 0
-    sch.on_yield(0)
-    # Thread 0 is parked; only thread 1 is pickable now.
-    assert sch.pick_next() == 1
+    # Thread 0 is picked first, cannot pass, and leaves the pick.
+    assert sch.pick_next(enabled=frozenset({1})) == 1
+    assert [(d.pick, d.candidates) for d in sch.decisions] == [(0, (0, 1)), (1, (1,))]
     sch.on_progress(1)
     sch.on_announce(1, nb_op(1))
-    # Progress happened, so thread 0 is worth retrying; its dropped
+    # Progress happened, so thread 0 is a candidate again; its dropped
     # priority keeps it behind the thread that progressed.
     assert sch.status_of(0).priority < sch.status_of(1).priority
+    assert sch.pick_next(enabled=frozenset({0, 1})) == 1
+    assert sch.decisions[-1].candidates == (0, 1)
 
 
 def test_unfair_cycle_pruning_on_decision_log():
@@ -90,12 +97,8 @@ def test_unfair_cycle_pruning_on_decision_log():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, wait_op(0))
     sch.on_announce(1, wait_op(1))
-    picks = []
-    for _ in range(2):
-        tid = sch.pick_next()
-        picks.append(tid)
-        sch.on_yield(tid)
-    assert picks == [0, 1]  # no re-pick of 0 between its yield and 1's try
+    sch.pick_next(enabled=frozenset())
+    assert [d.pick for d in sch.decisions] == [0, 1]  # no re-pick of 0 after its yield
 
 
 def test_hunger_aging_services_a_starved_thread():
@@ -104,7 +107,7 @@ def test_hunger_aging_services_a_starved_thread():
     sch.on_announce(0, nb_op(0))
     picks = []
     for _ in range(6):
-        tid = sch.pick_next()
+        tid = sch.pick_next(enabled=frozenset({0, 1}))
         picks.append(tid)
         sch.on_progress(tid)
         sch.on_announce(tid, nb_op(tid))
@@ -132,10 +135,10 @@ def test_replay_follows_the_trace_exactly():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, nb_op(0))
     sch.on_announce(1, nb_op(1))
-    assert sch.pick_next(1, "replay") == 1
+    assert sch.pick_next(1, "replay", enabled=frozenset({0, 1})) == 1
     sch.on_progress(1)
     sch.on_announce(1, nb_op(1))
-    assert sch.pick_next(0, "replay") == 0
+    assert sch.pick_next(0, "replay", enabled=frozenset({0, 1})) == 0
     assert [d.mode for d in sch.decisions] == ["replay", "replay"]
 
 
@@ -143,22 +146,32 @@ def test_replay_divergence_raises():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
     with pytest.raises(ReplayDivergenceError) as err:
-        sch.pick_next(5, "replay", 3)
+        sch.pick_next(5, "replay", 3, enabled=frozenset({0}))
     assert err.value.step_index == 3
+
+
+def test_a_prescribed_thread_that_cannot_pass_raises():
+    sch = scheduler_with([0, 1])
+    sch.on_announce(0, nb_op(0))
+    sch.on_announce(1, wait_op(1))
+    with pytest.raises(ReplayDivergenceError) as err:
+        sch.pick_next(1, "force", 2, enabled=frozenset({0}))
+    assert err.value.step_index == 2
+    assert sch.decisions == []
 
 
 def test_forced_pick_returns_the_designated_thread():
     sch = scheduler_with([0, 1])
     sch.on_announce(0, nb_op(0))
     sch.on_announce(1, nb_op(1))
-    assert sch.pick_next(1, "force") == 1
+    assert sch.pick_next(1, "force", enabled=frozenset({0, 1})) == 1
     assert sch.decisions[-1].mode == "force"
 
 
 def test_decision_log_line_format():
     sch = scheduler_with([0])
     sch.on_announce(0, nb_op(0))
-    sch.pick_next()
+    sch.pick_next(enabled=frozenset({0}))
     assert [d.debug_line() for d in sch.decisions] == ["step=0 pick=0 mode=free"]
 
 
