@@ -15,6 +15,9 @@ the pairwise-independent ones; the classic look-back rule relating each
 executed step to the latest earlier dependent step of another thread;
 and race reports, which abort the iteration before the racing accesses
 execute and therefore bank the overlap-avoiding schedules themselves.
+The end of a deadlock, normal end or race adds the look-back for each
+operation still pending: as in Flanagan and Godefroid's DPOR, every
+thread's next transition counts, enabled or not.
 With reduction disabled, every state with two or more enabled threads
 branches, which enumerates all schedules.
 
@@ -359,6 +362,14 @@ class Explorer:
             IterationOutcome.LIVELOCK_CANDIDATE,
             IterationOutcome.BOUND_WARNING,
         ):
+            if self.config.dpor_enabled:
+                # An operation still pending at the end never executed, so
+                # the step hook never looked back for it: look back as for
+                # a step at the end of the log.
+                for op, _ in result.pending:
+                    end = ExecutedStep(len(result.log), op, frozenset())
+                    for j, tid in on_execute(result.log, end):
+                        found.append((BacktrackStore.absorb_addition, j, tid))
             for absorb, depth, arg in found:
                 absorb(store_at(depth), tuple(steps[:depth]), depth, arg, steps[depth], iteration)
         if result.outcome is IterationOutcome.DATA_RACE:
@@ -411,8 +422,10 @@ class Explorer:
             return
         steps = result.trace.steps
         log = result.log.steps
-        readers = [(t, d) for t, d, kind in result.race_racers if kind is AccessKind.READ]
-        writers = [(t, d) for t, d, kind in result.race_racers if kind is AccessKind.WRITE]
+        racing = result.race_detail.object
+        racers = [(op, at) for op, at in result.pending if op.target == racing]
+        readers = [(int(op.tid), at) for op, at in racers if op.access is AccessKind.READ]
+        writers = [(int(op.tid), at) for op, at in racers if op.access is AccessKind.WRITE]
         pairs = [(r, w) for r in readers for w in writers]
         if not pairs:  # strict-mode overlap of writers only
             pairs = [(a, b) for a in writers for b in writers if a != b]

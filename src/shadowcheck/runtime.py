@@ -27,6 +27,9 @@ it, an object's id its index among the registered objects.
 
 The runner owns the schedule. It prescribes the plan's replayed steps to
 the scheduler, then the forced branch, and then lets the scheduler pick.
+It keeps no per-thread state: after each step it asks the scheduler
+whether the schedule turned unfair and, past the bound, how to classify
+the overrun. Its result carries the operations still pending at the end.
 
 Program threads run on a process-wide pool of parked OS threads, so an
 iteration starts an OS thread only when no pooled one is idle. Teardown
@@ -45,7 +48,7 @@ from .dpor import ExecutedStep, ExecutionLog
 from .errors import CheckerStoppedError, ProtocolError
 from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
 from .race import RaceDetector
-from .scheduler import Decision, IterationOutcome, Scheduler, classify_overrun
+from .scheduler import Decision, IterationOutcome, Scheduler
 from .shadow import Api, ProgramHandle, SharedCell
 
 
@@ -73,7 +76,6 @@ class _Host:
     # Set before this thread hands control back, cleared when it is granted
     # again: teardown wakes the parked threads and waits until they finish.
     parked: bool = False
-    announced_at: int = 0  # trace depth current at the last announcement
 
 
 class ExecutionContext:
@@ -82,7 +84,6 @@ class ExecutionContext:
     def __init__(self, runner: "IterationRunner") -> None:
         self._runner = runner
         self.scheduler = runner.scheduler
-        self.log = runner.log
         self.race = RaceDetector(strict=runner.strict_races) if runner.race_enabled else None
         self.objects: list[Any] = []  # registered handles; an object id is the index
         self.hosts: dict[int, _Host] = {}
@@ -194,7 +195,6 @@ class ExecutionContext:
         self.announced.clear()
 
     def _park(self, host: _Host, op: VisibleOp, ready: Callable[[], bool] | None) -> None:
-        host.announced_at = len(self.log)
         self._boundary(host, self.scheduler.on_announce, op, ready)
         self._wait_permit(host)
 
@@ -324,10 +324,9 @@ class IterationResult:
     log: ExecutionLog = field(default_factory=ExecutionLog)
     race_detail: RaceDetail | None = None
     terminal_cells: tuple[int, ...] | None = None
-    # Threads whose access on the racing object was pending at the abort:
-    # (tid, trace depth when announced, access kind). Used to bank the
-    # schedules that retire one racer before the other is announced.
-    race_racers: list[tuple[int, int, AccessKind]] = field(default_factory=list)
+    # Each live thread's pending operation at the end, in thread order, with
+    # the trace position of the grant during which it was announced.
+    pending: list[tuple[VisibleOp, int]] = field(default_factory=list)
 
     @property
     def op_log(self) -> list[VisibleOp]:
@@ -366,9 +365,6 @@ class IterationRunner:
         self.log = ExecutionLog()
         self.ctx = ExecutionContext(self)
         self.api = Api(self.ctx)
-        # tid -> (consecutive recorded steps spent ready-but-unscheduled,
-        #         fairness window ratcheted to 2 x the largest live count seen)
-        self._streaks: dict[int, tuple[int, int]] = {}
 
     def run(self) -> IterationResult:
         try:
@@ -388,7 +384,7 @@ class IterationRunner:
 
         ctx.start_main(self.program.entry)
         while True:
-            if self._race_fired():
+            if ctx.race is not None and ctx.race.fired is not None:
                 return self._finish(IterationOutcome.DATA_RACE)
             pre_ops = sch.pending_ops()
             enabled = sch.enabled(pre_ops)
@@ -407,77 +403,30 @@ class IterationRunner:
             step = log.append(pre_ops[tid], enabled)
             if self.step_hook is not None:
                 self.step_hook(log, step, pre_ops, enabled, mode)
-            if self._update_streaks(tid, pre_ops, enabled, mode):
+            # Streaks accumulate through replayed prefixes, but only steps
+            # this exploration chose itself (free or forced) may condemn the
+            # schedule; verbatim replays are always driven to the end.
+            if sch.after_step(tid, enabled) and self.unfair_prune and mode != "replay":
                 return self._finish(IterationOutcome.UNFAIR_STOP)
-
             if len(log) > self.bound:  # the tripping step is still recorded
-                live = sch.live_tids()
-                if not live:
-                    continue  # the tripping step completed the program
-                ready = sch.enabled(live)
-                live_ready = {t: t in ready for t in live}
-                if classify_overrun(self._trace(), live_ready):
-                    return self._finish(IterationOutcome.LIVELOCK_CANDIDATE)
-                return self._finish(IterationOutcome.BOUND_WARNING)
-
-    # A branch is abandoned once it starves a ready operation this many
-    # fairness windows in a row. Bounded delays (waiting out another
-    # thread's whole body) stay explorable; endless spin-vs-write chains,
-    # which no fair scheduler can produce, are cut off.
-    UNFAIR_STREAK_FACTOR = 3
-
-    def _update_streaks(
-        self,
-        scheduled: int,
-        pre_ops: dict[int, VisibleOp],
-        enabled: frozenset,
-        mode: str,
-    ) -> bool:
-        """Track ready-but-unscheduled streaks; True when the schedule turned unfair.
-
-        Streaks accumulate through replayed prefixes, but only steps this
-        exploration chose itself (free or forced) may condemn the
-        schedule; verbatim replays are always driven to the end.
-        """
-        window_now = (
-            self.UNFAIR_STREAK_FACTOR * 2 * max(1, len(self.scheduler.live_tids()))
-        )
-        unfair = False
-        for tid in pre_ops:
-            if tid == scheduled or tid not in enabled:
-                self._streaks.pop(tid, None)
-                continue
-            streak, window = self._streaks.get(tid, (0, 0))
-            streak += 1
-            window = max(window, window_now)
-            self._streaks[tid] = (streak, window)
-            if streak > window:
-                unfair = True
-        return unfair and self.unfair_prune and mode != "replay"
-
-    def _race_fired(self) -> bool:
-        return self.ctx.race is not None and self.ctx.race.fired is not None
-
-    def _trace(self) -> Trace:
-        return Trace(steps=[int(s.op.tid) for s in self.log.steps], iteration=self.iteration)
+                overrun = sch.classify_overrun(len(log))
+                if overrun is not None:  # else the tripping step completed the program
+                    return self._finish(overrun)
 
     def _finish(self, outcome: IterationOutcome) -> IterationResult:
         race_detail = self.ctx.race.fired if self.ctx.race is not None else None
         terminal = None
         if outcome is IterationOutcome.NORMAL_END:
             terminal = tuple(h.value for h in self.ctx.objects if isinstance(h, SharedCell))
-        racers: list[tuple[int, int, AccessKind]] = []
-        if outcome is IterationOutcome.DATA_RACE and race_detail is not None:
-            for tid, op in sorted(self.scheduler.pending_ops().items()):
-                if op.target == race_detail.object and op.access is not AccessKind.DONT_CARE:
-                    racers.append((tid, self.ctx.hosts[tid].announced_at, op.access))
+        sch = self.scheduler
+        pending = [(op, sch.status_of(tid).announced_at) for tid, op in sch.pending_ops().items()]
         return IterationResult(
             iteration=self.iteration,
             outcome=outcome,
-            trace=self._trace(),
-            decisions=list(self.scheduler.decisions),
+            trace=Trace(steps=[int(s.op.tid) for s in self.log.steps], iteration=self.iteration),
+            decisions=list(sch.decisions),
             log=self.log,
             race_detail=race_detail,
             terminal_cells=terminal,
-            race_racers=racers,
+            pending=pending,
         )

@@ -19,6 +19,12 @@ loops against a not-yet-written flag terminate and keeps blocked threads
 periodically retried so a bound-tripping cycle can be told apart from
 plain starvation.
 
+Every per-thread fairness fact lives here: each thread's latest grant,
+which classifies a run that overran its bound (``classify_overrun``),
+and its unfair streak, the steps in a row it could pass but was not
+granted, which ``after_step`` checks after each (replayed, forced or
+free) step.
+
 The scheduler keeps no schedule of its own. The iteration runner
 prescribes each replayed or forced step to ``pick_next``, which checks
 that the thread can run and grants it; without a prescription it picks
@@ -35,11 +41,16 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .errors import ProtocolError, ReplayDivergenceError
-from .model import Trace, VisibleOp
+from .model import VisibleOp
 
 # Fairness window: a continuously pickable thread is granted within
 # WINDOW_FACTOR * live_count consecutive decisions.
 WINDOW_FACTOR = 2
+# A branch is abandoned once it starves a ready operation this many
+# fairness windows in a row. Bounded delays (waiting out another
+# thread's whole body) stay explorable; endless spin-vs-write chains,
+# which no fair scheduler can produce, are cut off.
+UNFAIR_FACTOR = 3
 
 
 @dataclass
@@ -53,6 +64,12 @@ class ThreadStatus:
     ready: Callable[[], bool] | None = None
     priority: int = 0
     hunger: int = 0
+    # Steps in a row spent able to pass but not granted, and the unfair
+    # window ratcheted to the largest live count seen while it lasts.
+    streak: int = 0
+    streak_window: int = 0
+    last_step: int = -1  # trace position of the latest grant
+    announced_at: int = 0  # trace position of the grant it announced during
 
 
 @dataclass
@@ -73,6 +90,7 @@ class Scheduler:
     def __init__(self) -> None:
         self._threads: dict[int, ThreadStatus] = {}
         self._granted: int | None = None
+        self._step = 0  # trace position of the latest grant
         self.decisions: list[Decision] = []
 
     # -- registration and announcements ------------------------------------
@@ -93,6 +111,7 @@ class Scheduler:
             self._granted = None
         status.pending_op = op
         status.ready = ready
+        status.announced_at = self._step
 
     def on_end(self, tid: int) -> None:
         status = self._status(tid)
@@ -129,8 +148,7 @@ class Scheduler:
 
         Only a thread in ``enabled`` is granted: a free pick outside it
         yields and the pick goes on, a prescribed one raises. ``step`` is
-        the trace position the grant would execute; it only locates a
-        prescribed thread that cannot run.
+        the trace position the grant executes.
         """
         if self._granted is not None:
             raise ProtocolError("pick requested while a permit is outstanding")
@@ -155,6 +173,7 @@ class Scheduler:
                 chosen = self._choose(runnable, len(live))
         self._record(chosen, mode, runnable, len(live))
         self._granted = chosen.tid
+        chosen.last_step = self._step = step
         return chosen.tid
 
     @staticmethod
@@ -177,19 +196,51 @@ class Scheduler:
                 index=len(self.decisions),
                 pick=status.tid,
                 mode=mode,
-                candidates=tuple(sorted(t.tid for t in runnable)),
+                candidates=tuple(t.tid for t in runnable),
                 live=live,
             )
         )
+
+    # -- fairness after the step ---------------------------------------------
+
+    def after_step(self, scheduled: int, enabled: frozenset[int]) -> bool:
+        """Extend the streak of each thread in ``enabled`` but ``scheduled``
+        and end every other; True when a streak outran its window, which
+        ratchets up to the largest live count seen while the streak lasts."""
+        threads = self._threads.values()
+        window = UNFAIR_FACTOR * WINDOW_FACTOR * max(1, sum(not t.ended for t in threads))
+        unfair = False
+        for t in threads:
+            if t.tid == scheduled or t.tid not in enabled:
+                t.streak = t.streak_window = 0
+                continue
+            t.streak += 1
+            t.streak_window = max(t.streak_window, window)
+            if t.streak > t.streak_window:
+                unfair = True
+        return unfair
+
+    def classify_overrun(self, steps: int) -> IterationOutcome | None:
+        """A trace of ``steps`` steps overran the bound: fair cycle or starvation?
+
+        A live thread granted within the fairness window is cycling; one
+        outside it that can pass was starved, which makes the overrun a
+        bound warning. Blocked threads do not count. None when nothing is live.
+        """
+        live = [t for t in self._threads.values() if not t.ended]
+        if not live:
+            return None
+        recent = max(0, steps - WINDOW_FACTOR * len(live))
+        for t in live:
+            if t.last_step < recent and (t.ready is None or t.ready()):
+                return IterationOutcome.BOUND_WARNING
+        return IterationOutcome.LIVELOCK_CANDIDATE
 
     # -- introspection --------------------------------------------------------
 
     def pending_ops(self) -> dict[int, VisibleOp]:
         """Announced ops of all live parked threads."""
         return {t.tid: t.pending_op for t in self._threads.values() if t.pending_op is not None}
-
-    def live_tids(self) -> list[int]:
-        return sorted(t.tid for t in self._threads.values() if not t.ended)
 
     def status_of(self, tid: int) -> ThreadStatus:
         return self._status(tid)
@@ -242,26 +293,3 @@ def default_bound(program) -> int:
     if program.declared_partitions:
         return estimate_bound(program.declared_partitions) * BOUND_HEADROOM
     return DEFAULT_BOUND_FALLBACK
-
-
-def classify_overrun(
-    trace: Trace,
-    live_ready: dict[int, bool],
-) -> bool:
-    """Bound exceeded: fair cycle (livelock candidate) or mere starvation?
-
-    ``live_ready`` maps each live thread to whether its pending operation
-    would succeed right now. A thread that progressed inside the fairness
-    window is cycling; a thread outside the window whose operation would
-    succeed was starved of a grant, which makes the overrun a scheduling
-    artifact rather than a livelock. Blocked threads (operation cannot
-    succeed) do not count against the cycle.
-    """
-    window = WINDOW_FACTOR * max(1, len(live_ready))
-    recent = set(trace.steps[-window:])
-    for tid, ready in live_ready.items():
-        if tid in recent:
-            continue
-        if ready:
-            return False  # starved, not cycling
-    return True

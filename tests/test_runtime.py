@@ -189,7 +189,12 @@ def test_race_counts_a_spawned_child_before_its_spawner():
         object=ObjectId(0), readers_pending=1, writers_pending=1
     )
     assert result.trace.steps == [0, 0]
-    assert result.race_racers == [
+    racers = [
+        (int(op.tid), announced_at, op.access)
+        for op, announced_at in result.pending
+        if op.target == ObjectId(0)
+    ]
+    assert racers == [
         (0, 1, AccessKind.WRITE),
         (1, 0, AccessKind.WRITE),
         (2, 1, AccessKind.READ),

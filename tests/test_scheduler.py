@@ -8,10 +8,9 @@ from shadowcheck import (
     ReplayDivergenceError,
     ThreadId,
     Token,
-    Trace,
     make_visible_op,
 )
-from shadowcheck.scheduler import IterationOutcome, Scheduler, classify_overrun, estimate_bound
+from shadowcheck.scheduler import IterationOutcome, Scheduler, estimate_bound
 
 
 def nb_op(tid):
@@ -191,11 +190,32 @@ def test_replayed_starving_schedule_ends_in_a_bound_warning():
     assert report.outcome is IterationOutcome.BOUND_WARNING
 
 
+def overrun_after(steps, thread0):
+    """Classify an overrun after granting ``steps`` to threads 1 and 2, with
+    thread 0 "ended", "blocked" or "ready" and never granted."""
+    sch = scheduler_with([0, 1, 2])
+    if thread0 == "ended":
+        sch.on_end(0)
+    else:
+        sch.on_announce(0, wait_op(0), ready=lambda: thread0 == "ready")
+    for tid in (1, 2):
+        sch.on_announce(tid, nb_op(tid))
+    for position, tid in enumerate(steps):
+        assert sch.pick_next(tid, "replay", position, enabled=frozenset({1, 2})) == tid
+        sch.on_progress(tid)
+        sch.on_announce(tid, nb_op(tid))
+    return sch.classify_overrun(len(steps))
+
+
 def test_overrun_classification():
     # All live threads recently scheduled, none starved: a fair cycle.
-    trace = Trace(steps=[1, 2, 1, 2, 1, 2], iteration=0)
-    assert classify_overrun(trace, {1: True, 2: True}) is True
+    steps = [1, 2, 1, 2, 1, 2]
+    assert overrun_after(steps, "ended") is IterationOutcome.LIVELOCK_CANDIDATE
     # A blocked thread outside the window does not break the cycle.
-    assert classify_overrun(trace, {0: False, 1: True, 2: True}) is True
+    assert overrun_after(steps, "blocked") is IterationOutcome.LIVELOCK_CANDIDATE
     # A thread that could progress but never got scheduled was starved.
-    assert classify_overrun(trace, {0: True, 1: True, 2: True}) is False
+    assert overrun_after(steps, "ready") is IterationOutcome.BOUND_WARNING
+    # The tripping step completed the program: nothing to classify.
+    ended = scheduler_with([0])
+    ended.on_end(0)
+    assert ended.classify_overrun(len(steps)) is None
