@@ -114,65 +114,66 @@ def partition(points: list[BacktrackPoint], n: int) -> list[Workload]:
 # -- report serialization --------------------------------------------------------------
 
 
+# A report's integer fields, in wire order.
+_COUNTS = ("node_id", "iterations_run", "bound_warnings", "points_explored", "unfair_prunes")
+
+
 def encode_report(report) -> str:
-    payload = {
-        "node_id": report.node_id,
-        "iterations_run": report.iterations_run,
-        "bound_warnings": report.bound_warnings,
-        "points_explored": report.points_explored,
-        "unfair_prunes": report.unfair_prunes,
-        "violations": [
-            {
-                "kind": v.kind.value,
-                "iteration": v.iteration,
-                "steps": list(v.trace.steps),
-                "trace_file": v.trace_file,
-                "race": (
-                    None
-                    if v.race_detail is None
-                    else {
-                        "object": int(v.race_detail.object),
-                        "readers": v.race_detail.readers_pending,
-                        "writers": v.race_detail.writers_pending,
-                    }
-                ),
-            }
-            for v in report.violations
-        ],
-    }
+    payload = {name: getattr(report, name) for name in _COUNTS}
+    payload["violations"] = [
+        {
+            "kind": v.kind.value,
+            "iteration": v.iteration,
+            "steps": list(v.trace.steps),
+            "trace_file": v.trace_file,
+            "race": (
+                None
+                if v.race_detail is None
+                else {
+                    "object": int(v.race_detail.object),
+                    "readers": v.race_detail.readers_pending,
+                    "writers": v.race_detail.writers_pending,
+                }
+            ),
+        }
+        for v in report.violations
+    ]
     return json.dumps(payload)
 
 
 def decode_report(text: str):
+    """Parse a worker's report line; anything malformed is a ``DispatchError``."""
     from .explorer import ExplorationReport
 
-    payload = json.loads(text)
-    report = ExplorationReport(
-        iterations_run=payload["iterations_run"],
-        bound_warnings=payload["bound_warnings"],
-        points_explored=payload["points_explored"],
-        node_id=payload["node_id"],
-        unfair_prunes=payload["unfair_prunes"],
-    )
-    for entry in payload["violations"]:
-        race = entry["race"]
-        report.violations.append(
-            ViolationReport(
-                kind=ViolationKind(entry["kind"]),
-                iteration=entry["iteration"],
-                trace=Trace(steps=list(entry["steps"]), iteration=entry["iteration"]),
-                race_detail=(
-                    None
-                    if race is None
-                    else RaceDetail(
-                        object=ObjectId(race["object"]),
-                        readers_pending=race["readers"],
-                        writers_pending=race["writers"],
-                    )
-                ),
-                trace_file=entry["trace_file"],
+    try:
+        payload = json.loads(text)
+        counts = {name: payload[name] for name in _COUNTS}
+        if any(type(value) is not int for value in counts.values()):
+            raise ValueError(f"a counter is not an integer: {counts}")
+        report = ExplorationReport(**counts)
+        for entry in payload["violations"]:
+            race = entry["race"]
+            report.violations.append(
+                ViolationReport(
+                    kind=ViolationKind(entry["kind"]),
+                    iteration=entry["iteration"],
+                    trace=Trace(steps=list(entry["steps"]), iteration=entry["iteration"]),
+                    race_detail=(
+                        None
+                        if race is None
+                        else RaceDetail(
+                            object=ObjectId(race["object"]),
+                            readers_pending=race["readers"],
+                            writers_pending=race["writers"],
+                        )
+                    ),
+                    trace_file=entry["trace_file"],
+                )
             )
-        )
+    except KeyError as missing:
+        raise DispatchError(f"report {text!r} is missing field {missing}") from None
+    except (TypeError, ValueError) as exc:  # bad JSON is a ValueError too
+        raise DispatchError(f"corrupt report {text!r}: {exc}") from None
     return report
 
 

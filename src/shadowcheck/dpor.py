@@ -6,17 +6,19 @@ operations announce writes on their primitive's own object id, so two
 acquisitions of one lock conflict while operations on distinct objects, or
 two reads of the same object, commute.
 
-Backtrack candidates come from two places:
+Backtrack candidates are read off a finished execution, from two places:
 
-* after every executed step, the classic last-dependent rule looks back
-  for the most recent earlier step by another thread whose operation
-  conflicts with the new one and where the new thread was enabled, and
-  proposes re-running the new thread from that earlier state;
+* for every executed step, and for every operation still pending at the
+  end, the classic last-dependent rule looks back for the most recent
+  earlier step by another thread whose operation conflicts with it and
+  where its thread was enabled, and proposes re-running that thread from
+  the earlier state;
 * at every state, any set of mutually dependent enabled-but-unscheduled
   operations marks the state itself as a branch point.
 
 Enabled snapshots record the threads whose pending operation could
-actually progress at the state, so every stored alternative is forcible.
+actually progress at the state, so every stored alternative is forcible;
+that operation is the next one the thread executes (``enabled_ops``).
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ class ExecutionLog:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+def enabled_ops(
+    log: ExecutionLog, pending: list[VisibleOp], start: int = 0
+) -> list[tuple[ExecutedStep, dict[int, VisibleOp]]]:
+    """Each step from depth ``start`` on, in order, with the operations of
+    the threads enabled before it, walking back from those still ``pending``
+    at the end: an operation stays pending until its thread executes it."""
+    next_op = {int(op.tid): op for op in pending}
+    states = []
+    for step in reversed(log.steps[start:]):
+        next_op[int(step.op.tid)] = step.op
+        states.append((step, {tid: next_op[tid] for tid in step.enabled}))
+    return states[::-1]
 
 
 def on_execute(log: ExecutionLog, step: ExecutedStep) -> set[tuple[int, int]]:

@@ -9,25 +9,27 @@ remembers the threads already taken from it for the whole run, which is
 what guarantees no branch is explored twice and the store provably
 empties for bounded programs.
 
-Backtrack candidates arrive from three places while an iteration runs:
-states whose enabled pending operations still conflict after discarding
-the pairwise-independent ones; the classic look-back rule relating each
-executed step to the latest earlier dependent step of another thread;
-and race reports, which abort the iteration before the racing accesses
-execute and therefore bank the overlap-avoiding schedules themselves.
-The end of a deadlock, normal end or race adds the look-back for each
-operation still pending: as in Flanagan and Godefroid's DPOR, every
-thread's next transition counts, enabled or not.
+Backtrack points are mined from the finished iteration, in one pass
+(``Explorer._bank``) that runs only when its outcome lets points be
+banked. They come from three places: states whose enabled pending
+operations still conflict after discarding the pairwise-independent ones;
+the classic look-back rule relating each executed step, and each
+operation still pending at the end, to the latest earlier dependent step
+of another thread (as in Flanagan and Godefroid's DPOR, every thread's
+next transition counts, enabled or not); and race reports, which abort
+the iteration before the racing accesses execute and therefore bank the
+overlap-avoiding schedules themselves.
 With reduction disabled, every state with two or more enabled threads
 branches, which enumerates all schedules.
 
 The runner's ``ExecutionLog`` is its only per-step record: each executed
 step with the threads enabled before it. (The trace sink still keeps the
-scheduled thread ids to check them against the result.) The step hook notes
-candidates by depth alone; once the outcome allows banking, each depth's
-prefix is cut from the finished trace, which the runner builds from the
-log. The store holds ``BacktrackPoint``s keyed by (prefix, depth) and
-selects the deepest live one, ties going to the latest discovery.
+scheduled thread ids to check them against the result.) The enabled
+threads' operations at each state are rebuilt from it (``enabled_ops``),
+and each state's prefix is cut from the finished trace, which the runner
+builds from the log. The store holds ``BacktrackPoint``s keyed by
+(prefix, depth) and selects the deepest live one, ties going to the
+latest discovery.
 
 A worker seeded by a master owns only the states under its roots; the
 points it finds elsewhere are handed back instead of banked (see
@@ -42,7 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import dispatch as _codec
-from .dpor import ExecutedStep, ExecutionLog, dependent_subset, is_backtrack_point, on_execute
+from .dpor import ExecutedStep, dependent_subset, enabled_ops, is_backtrack_point, on_execute
 from .errors import ProtocolError
 from .model import AccessKind, BacktrackPoint, ViolationReport, VisibleOp
 from .runtime import IterationResult, IterationRunner, SchedulePlan
@@ -324,11 +326,6 @@ class Explorer:
     # -- one iteration -----------------------------------------------------------
 
     def _run_iteration(self, iteration: int, plan: SchedulePlan) -> IterationResult:
-        # Points are buffered during the run and banked only if the
-        # iteration completed within the depth bound: an execution the
-        # bound cut off sits at the exploration horizon, so its branch
-        # points describe schedules the bound would cut off again.
-        found: list[tuple[Callable, int, object]] = []
         runner = IterationRunner(
             self.program,
             iteration=iteration,
@@ -336,7 +333,7 @@ class Explorer:
             plan=plan,
             race_enabled=self.config.race_enabled,
             strict_races=self.config.strict_races,
-            step_hook=self._step_hook(iteration, found),
+            step_hook=lambda log, step: self.sink.record_step(iteration, int(step.op.tid)),
             unfair_prune=True,
         )
         result = runner.run()
@@ -356,31 +353,44 @@ class Explorer:
             )
         self._seen_traces.add(signature)
 
-        steps = result.trace.steps
-        store_at = self._store_at(steps)
-        if result.outcome not in (
-            IterationOutcome.LIVELOCK_CANDIDATE,
-            IterationOutcome.BOUND_WARNING,
-        ):
-            if self.config.dpor_enabled:
-                # An operation still pending at the end never executed, so
-                # the step hook never looked back for it: look back as for
-                # a step at the end of the log.
-                for op, _ in result.pending:
-                    end = ExecutedStep(len(result.log), op, frozenset())
-                    for j, tid in on_execute(result.log, end):
-                        found.append((BacktrackStore.absorb_addition, j, tid))
-            for absorb, depth, arg in found:
-                absorb(store_at(depth), tuple(steps[:depth]), depth, arg, steps[depth], iteration)
-        if result.outcome is IterationOutcome.DATA_RACE:
-            self._absorb_race_dodges(result, iteration, store_at)
-
+        # Points are banked only if the iteration completed within the
+        # depth bound: an execution the bound cut off sits at the
+        # exploration horizon, so its branch points describe schedules
+        # the bound would cut off again.
         if result.outcome is IterationOutcome.BOUND_WARNING:
             self.report.bound_warnings += 1
+        elif result.outcome is not IterationOutcome.LIVELOCK_CANDIDATE:
+            self._bank(result, iteration, len(plan.replay))
         self.sink.close_iteration(result)
         if self.iteration_callback is not None:
             self.iteration_callback(result)
         return result
+
+    def _bank(self, result: IterationResult, iteration: int, replayed: int) -> None:
+        """Bank the finished iteration's points: the conflicting states and
+        the look-back of each step from depth ``replayed`` on (the replayed
+        prefix was mined when it first ran), the look-back of each operation
+        still pending, as a step at the end of the log that enables nothing,
+        and the race dodges."""
+        dpor_on = self.config.dpor_enabled
+        log = result.log
+        steps = result.trace.steps
+        store_at = self._store_at(steps)
+        pending = [op for op, _ in result.pending]
+        for step, ops in enabled_ops(log, pending, replayed):
+            # Without reduction, every state with two enabled threads branches.
+            candidates = dependent_subset(ops) if dpor_on else set(ops)
+            d = step.depth
+            if steps[d] in candidates and len(candidates) >= 2:
+                store_at(d).absorb_state(tuple(steps[:d]), d, candidates, steps[d], iteration)
+        if not dpor_on:
+            return
+        ends = [ExecutedStep(len(log), op, frozenset()) for op in pending]
+        for step in log.steps[replayed:] + ends:
+            for j, tid in on_execute(log, step):
+                store_at(j).absorb_addition(tuple(steps[:j]), j, tid, steps[j], iteration)
+        if result.outcome is IterationOutcome.DATA_RACE:
+            self._absorb_race_dodges(result, iteration, store_at)
 
     def _store_at(self, steps: list[int]) -> Callable[[int], BacktrackStore]:
         """The store that banks a point at each depth of this trace.
@@ -417,9 +427,6 @@ class Explorer:
         Announcements are pinned to schedule depths, which makes those
         states addressable as (prefix, depth) keys like any other point.
         """
-        if not self.config.dpor_enabled:
-            # Exhaustive mode branches on every multi-enabled state anyway.
-            return
         steps = result.trace.steps
         log = result.log.steps
         racing = result.race_detail.object
@@ -452,44 +459,6 @@ class Explorer:
             for tid in log[early[1]].enabled:
                 if tid != steps[early[1]]:
                     bank(early[1], tid)
-
-    def _step_hook(self, iteration: int, found: list[tuple[Callable, int, object]]):
-        """Note each free step's candidates as (absorb method, depth, argument).
-
-        Only depths are kept; the prefix that names a depth's state is cut
-        from the finished trace if the iteration's points get banked.
-        """
-        dpor_on = self.config.dpor_enabled
-        absorb_state = BacktrackStore.absorb_state
-        absorb_addition = BacktrackStore.absorb_addition
-
-        def hook(
-            log: ExecutionLog,
-            step: ExecutedStep,
-            pre_ops: dict[int, VisibleOp],
-            enabled: frozenset,
-            mode: str,
-        ) -> None:
-            scheduled = int(step.op.tid)
-            self.sink.record_step(iteration, scheduled)
-            if mode == "replay":
-                return  # the prefix was mined when it was first executed
-            enabled_ops = {tid: pre_ops[tid] for tid in enabled}
-
-            if dpor_on:
-                candidates = dependent_subset(enabled_ops)
-            elif len(enabled_ops) >= 2:
-                candidates = set(enabled_ops)
-            else:
-                candidates = set()
-            if scheduled in candidates:
-                found.append((absorb_state, step.depth, candidates))
-
-            if dpor_on:
-                for j, tid in on_execute(log, step):
-                    found.append((absorb_addition, j, tid))
-
-        return hook
 
 
 def explore(

@@ -310,8 +310,8 @@ class SchedulePlan:
     pick_branch: Callable[[dict[int, VisibleOp]], int] | None = None
 
 
-# Hook signature: (log, step, pre_state_ops, enabled, mode) -> None
-StepHook = Callable[[ExecutionLog, ExecutedStep, dict[int, VisibleOp], frozenset, str], None]
+# Called after each executed step with the log and the step just appended.
+StepHook = Callable[[ExecutionLog, ExecutedStep], None]
 
 
 @dataclass
@@ -402,7 +402,7 @@ class IterationRunner:
             ctx.grant(tid)
             step = log.append(pre_ops[tid], enabled)
             if self.step_hook is not None:
-                self.step_hook(log, step, pre_ops, enabled, mode)
+                self.step_hook(log, step)
             # Streaks accumulate through replayed prefixes, but only steps
             # this exploration chose itself (free or forced) may condemn the
             # schedule; verbatim replays are always driven to the end.

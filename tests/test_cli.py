@@ -143,6 +143,44 @@ def test_check_against_a_tcp_worker(tmp_path):
     assert code == 1
 
 
+def test_a_worker_report_missing_a_field_exits_usage(tmp_path, capsys):
+    # A fake worker: it takes the workload and answers with a report that
+    # lacks ``iterations_run``.
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def worker():
+        conn, _ = server.accept()
+        with conn, conn.makefile("r") as r, conn.makefile("w") as w:
+            w.write("HELLO 1\n")
+            w.flush()
+            count = int(r.readline().split()[1])
+            for _ in range(count):
+                r.readline()
+            w.write('DONE 0\n{"node_id": 1, "bound_warnings": 0, "points_explored": 0,'
+                    ' "unfair_prunes": 0, "violations": []}\n')
+            w.flush()
+            r.readline()
+
+    thread = threading.Thread(target=worker, daemon=True)
+    thread.start()
+    code = run(
+        [
+            "check",
+            "--program",
+            "deadlock-two-mutexes",
+            "--out",
+            str(tmp_path),
+            "--workers",
+            f"127.0.0.1:{port}",
+        ]
+    )
+    thread.join(timeout=60)
+    server.close()
+    assert code == 2
+    assert "missing field 'iterations_run'" in capsys.readouterr().err
+
+
 def test_seed_trace_flag(tmp_path):
     seed = tmp_path / "seed"
     seed.write_text("1 0.\n2 0.\n")

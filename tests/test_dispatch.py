@@ -108,6 +108,44 @@ def test_non_numeric_counts_are_rejected(tmp_path):
         )
 
 
+GOOD_REPORT = (
+    '{"node_id": 1, "iterations_run": 2, "bound_warnings": 0, "points_explored": 1,'
+    ' "unfair_prunes": 0, "violations": [{"kind": "deadlock", "iteration": 1,'
+    ' "steps": [0, 1], "trace_file": null, "race": null}]}'
+)
+
+
+def _scripted_worker_report(report_line: str):
+    """The master's side of a link whose worker sends ``report_line`` as its report."""
+    script = io.StringIO(f"HELLO 1\nDONE 0\n{report_line}\n")
+    return send_workload(script, io.StringIO(), Workload(node_id=1))
+
+
+def test_a_scripted_worker_report_decodes():
+    report = _scripted_worker_report(GOOD_REPORT)
+    assert (report.node_id, report.iterations_run, report.points_explored) == (1, 2, 1)
+    assert [(v.kind, v.trace.steps) for v in report.violations] == [
+        (ViolationKind.DEADLOCK, [0, 1])
+    ]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        GOOD_REPORT.replace('"iterations_run": 2, ', ""),
+        GOOD_REPORT[:-1],
+        GOOD_REPORT.replace('"deadlock"', '"meltdown"'),
+        GOOD_REPORT.replace('"iterations_run": 2', '"iterations_run": "2"'),
+        GOOD_REPORT.replace('"violations": [', '"violations": [7, '),
+        "[]",
+    ],
+    ids=["missing-field", "bad-json", "unknown-kind", "string-count", "bad-entry", "not-a-dict"],
+)
+def test_a_malformed_worker_report_is_a_dispatch_error(line):
+    with pytest.raises(DispatchError, match=re.escape(repr(line))):
+        _scripted_worker_report(line)
+
+
 def test_report_codec_round_trip(tmp_path):
     original = explore(get_program("spin-flag"), ExplorationConfig(out_dir=tmp_path))
     assert original.unfair_prunes > 0

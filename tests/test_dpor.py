@@ -1,11 +1,23 @@
+import random
+
+import pytest
+
 from shadowcheck import DONT_CARE, AccessKind, ObjectId, ThreadId, Token, make_visible_op
+from shadowcheck.corpus import PROGRAMS, get_program
 from shadowcheck.dpor import (
     ExecutionLog,
     dependent,
     dependent_subset,
+    enabled_ops,
     is_backtrack_point,
     on_execute,
 )
+from shadowcheck.explorer import ExplorationConfig, explore
+from shadowcheck.runtime import IterationRunner
+from shadowcheck.scheduler import IterationOutcome
+
+from _shadow_ports import to_program
+from oracle import random_program
 
 
 def op(tid, access, target=None, token=Token.NON_BLOCKING):
@@ -118,3 +130,64 @@ def test_dependent_subset_discards_unconflicted_ops():
         3: op(3, AccessKind.WRITE, 9),
     }
     assert dependent_subset(ops) == {1, 2}
+
+
+def test_enabled_ops_reads_each_threads_next_operation():
+    # Thread 2 is enabled throughout but reads only at depth 2; thread 1's
+    # second write never runs and is still pending at the end.
+    w1, w1b, r2 = op(1, AccessKind.WRITE, 0), op(1, AccessKind.WRITE, 1), op(2, AccessKind.READ, 0)
+    dc = op(0, AccessKind.DONT_CARE)
+    log = _log([(w1, {1, 2}), (dc, {0, 1, 2}), (r2, {1, 2})])
+    states = enabled_ops(log, [w1b])
+    assert [step.depth for step, _ in states] == [0, 1, 2]
+    assert [ops for _, ops in states] == [
+        {1: w1, 2: r2},
+        {0: dc, 1: w1b, 2: r2},
+        {1: w1b, 2: r2},
+    ]
+    assert [step.depth for step, _ in enabled_ops(log, [w1b], start=2)] == [2]
+
+
+def _record_live_ops(monkeypatch):
+    """Check every iteration's rebuilt enabled ops against the scheduler's
+    pending operations restricted to the enabled set at each grant."""
+    run = IterationRunner.run
+    checked = []
+
+    def checking_run(runner):
+        live = []
+        pick = runner.scheduler.pick_next
+
+        def recording_pick(*args, enabled, **kwargs):
+            ops = runner.scheduler.pending_ops()
+            tid = pick(*args, enabled=enabled, **kwargs)
+            if not isinstance(tid, IterationOutcome):
+                live.append({t: ops[t] for t in enabled})
+            return tid
+
+        runner.scheduler.pick_next = recording_pick
+        result = run(runner)
+        rebuilt = enabled_ops(result.log, [op for op, _ in result.pending])
+        assert [ops for _, ops in rebuilt] == live
+        checked.append(len(live))
+        return result
+
+    monkeypatch.setattr(IterationRunner, "run", checking_run)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_rebuilt_enabled_ops_match_the_scheduler_on_the_corpus(name, tmp_path, monkeypatch):
+    checked = _record_live_ops(monkeypatch)
+    bound = 18 if name == "livelock-philosophers" else None
+    explore(get_program(name), ExplorationConfig(out_dir=tmp_path, bound=bound, strict_races=True))
+    assert checked and sum(checked) > 0
+
+
+def test_rebuilt_enabled_ops_match_the_scheduler_on_random_programs(tmp_path, monkeypatch):
+    checked = _record_live_ops(monkeypatch)
+    rng = random.Random(20)
+    for i in range(25):
+        program = to_program(random_program(rng), f"random-{i}")
+        explore(program, ExplorationConfig(out_dir=tmp_path / str(i), dpor_enabled=i % 2 == 0))
+    assert len(checked) > 25

@@ -240,3 +240,44 @@ def test_explore_initial_returns_the_store(tmp_path):
     assert points  # iteration 0 of the deadlock program banks branch work
     for p in points:
         p.validate()
+
+
+def test_iterations_that_bank_nothing_do_no_dpor_work(tmp_path, monkeypatch):
+    # Livelock candidates, bound warnings and unfair stops bank no points,
+    # so the finished log is never mined for them.
+    from shadowcheck import explorer
+
+    calls = {"on_execute": 0, "dependent_subset": 0}
+
+    def counting(name):
+        original = getattr(explorer, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(explorer, name, counting(name))
+    work: dict[IterationOutcome, list[int]] = {}
+    run_iteration = Explorer._run_iteration
+
+    def measured(self, iteration, plan):
+        before = sum(calls.values())
+        result = run_iteration(self, iteration, plan)
+        work.setdefault(result.outcome, []).append(sum(calls.values()) - before)
+        return result
+
+    monkeypatch.setattr(Explorer, "_run_iteration", measured)
+    livelock = ExplorationConfig(out_dir=tmp_path / "livelock", bound=18)
+    explore(get_program("livelock-philosophers"), livelock)
+    explore(get_program("spin-flag"), ExplorationConfig(out_dir=tmp_path / "spin"))
+    unbanked = (
+        IterationOutcome.LIVELOCK_CANDIDATE,
+        IterationOutcome.BOUND_WARNING,
+        IterationOutcome.UNFAIR_STOP,
+    )
+    for outcome in unbanked:
+        assert work[outcome] and set(work[outcome]) == {0}, outcome
+    assert all(sum(work[o]) > 0 for o in work if o not in unbanked)
