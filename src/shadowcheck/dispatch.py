@@ -29,7 +29,6 @@ Worker protocol over any reliable byte stream, one message per line:
 from __future__ import annotations
 
 import json
-import socket
 import threading
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable
@@ -261,6 +260,8 @@ def check_distributed(program, config):
 
 
 def _run_worker_over_socketpair(program, config, workload: Workload):
+    import socket
+
     left, right = socket.socketpair()
     worker_err: list[BaseException] = []
 
@@ -288,6 +289,7 @@ def _run_worker_over_socketpair(program, config, workload: Workload):
 
 def check_remote(program, config, addresses: list[str]):
     """Like ``check_distributed`` but over TCP links to already-running workers."""
+    import socket
 
     def link(workload: Workload):
         address = addresses[workload.node_id - 1]

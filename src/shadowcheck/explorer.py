@@ -17,8 +17,10 @@ the classic look-back rule relating each executed step, and each
 operation still pending at the end, to the latest earlier dependent step
 of another thread (as in Flanagan and Godefroid's DPOR, every thread's
 next transition counts, enabled or not); and race reports, which abort
-the iteration before the racing accesses execute and therefore bank the
-overlap-avoiding schedules themselves.
+the iteration before the racing accesses execute and so bank the
+overlap-avoiding schedules themselves, each racer once, at the latest state
+that avoids the overlap. A point owes every branch banked at it until the
+branch is taken.
 With reduction disabled, every state with two or more enabled threads
 branches, which enumerates all schedules.
 
@@ -44,6 +46,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import dispatch as _codec
+# Nothing here calls ``is_backtrack_point``; the bench harness wraps it under
+# this module's name as well, and a name it cannot find stops the run.
 from .dpor import ExecutedStep, dependent_subset, enabled_ops, is_backtrack_point, on_execute
 from .errors import ProtocolError
 from .model import AccessKind, BacktrackPoint, ViolationReport, VisibleOp
@@ -144,12 +148,13 @@ class BacktrackStore:
         return max(live, key=lambda p: (p.depth, p.discovery_iteration), default=None)
 
     def take_branch(self, point: BacktrackPoint, live_ops: dict[int, VisibleOp]) -> int:
-        """Extract the lowest-id pending thread and re-evaluate the rest.
+        """Extract the lowest-id pending thread; the rest stay owed.
 
-        The remainder survives only while it still contains two mutually
-        dependent operations; a remainder that no longer branches is
-        dropped (its conflicts, if real, resurface through the look-back
-        rule when they execute).
+        A remainder is kept whether or not its operations still conflict:
+        a look-back addition is banked when its step executes, and the
+        iterations that would bank it again may end in a race before that
+        step. Only a remainder naming a thread not live at the state is
+        cleared, since no branch of it can be forced.
         """
         point = self._records[(point.prefix, point.depth)]
         if not point.pending:
@@ -157,10 +162,8 @@ class BacktrackStore:
         chosen = min(point.pending)
         point.pending.discard(chosen)
         point.done.add(chosen)
-        if point.pending:
-            remaining = {t: live_ops[t] for t in point.pending if t in live_ops}
-            if len(remaining) < len(point.pending) or not is_backtrack_point(remaining):
-                point.pending.clear()
+        if any(t not in live_ops for t in point.pending):
+            point.pending.clear()
         return chosen
 
     # -- persistence ----------------------------------------------------------
@@ -421,11 +424,16 @@ class Explorer:
 
         A race is an overlap of two pending accesses, detected the moment
         the later one is announced; it never comes to executing either.
-        The overlap is avoided exactly by the schedules that retire the
+        The overlap is avoided by the schedules that retire the
         earlier-announced access before the later racer's announcement,
-        so the earlier racer is owed a branch at every state in between.
-        Announcements are pinned to schedule depths, which makes those
-        states addressable as (prefix, depth) keys like any other point.
+        or that run the later racer's thread past its access before the
+        earlier announcement. Each racer is banked once, at the latest
+        state of its window where its thread is enabled: as in Flanagan
+        and Godefroid's DPOR, the dodged access's own look-back, once it
+        executes in that branch, banks any earlier state where a conflict
+        calls for one. Announcements are pinned to schedule depths, which
+        makes those states addressable as (prefix, depth) keys like any
+        other point.
         """
         steps = result.trace.steps
         log = result.log.steps
@@ -438,22 +446,26 @@ class Explorer:
             pairs = [(a, b) for a in writers for b in writers if a != b]
 
         def bank(depth: int, tid: int) -> None:
-            if tid in log[depth].enabled:
-                store_at(depth).absorb_addition(
-                    tuple(steps[:depth]), depth, tid, steps[depth], iteration
-                )
+            store_at(depth).absorb_addition(
+                tuple(steps[:depth]), depth, tid, steps[depth], iteration
+            )
+
+        def bank_latest(depths: range, tid: int) -> None:
+            """Bank ``tid`` at the first of ``depths`` where it is enabled."""
+            for depth in depths:
+                if tid in log[depth].enabled:
+                    bank(depth, tid)
+                    return
 
         for a, b in pairs:
             early, late = (a, b) if a[1] <= b[1] else (b, a)
             if early[1] == late[1]:
                 continue  # announced together; no schedule separates them
             # Retire the early access before the late racer is announced...
-            for depth in range(early[1] + 1, late[1] + 1):
-                bank(depth, early[0])
+            bank_latest(range(late[1], early[1], -1), early[0])
             # ...advance the late racer's thread past its access before the
-            # early one is announced (chasing the announcement earlier)...
-            for depth in range(1, early[1] + 1):
-                bank(depth, late[0])
+            # early one is announced...
+            bank_latest(range(early[1], 0, -1), late[0])
             # ...or hold the early announcement back: let anything else
             # enabled run ahead of the step that created it.
             for tid in log[early[1]].enabled:

@@ -13,7 +13,6 @@ header so a replay can use them.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +137,8 @@ class TraceSink:
         """Write ``report.txt``: a header with the timestamp, the depth
         bound (when known) and ``races=strict`` under strict race
         detection, plus one line per violation."""
+        import datetime
+
         header = f"# generated {datetime.datetime.now().isoformat()}"
         if self.bound is not None:
             header += f" bound={self.bound}"

@@ -1,7 +1,7 @@
 """DPOR against exhaustive exploration (``--no-dpor``).
 
 Both must find the same terminal cell vectors and the same violation
-kinds. Two fixed programs pin cases where the reduction once differed or
+kinds. Three fixed programs pin cases where the reduction once differed or
 still differs; a generated family covers mutexes, trylock, a semaphore
 and mid-body joins.
 """
@@ -65,6 +65,24 @@ def test_a_lock_still_blocked_at_the_deadlock_gets_the_look_back(tmp_path):
     assert reduced == (3, {(1,)}, {"deadlock"})
 
 
+def test_a_branch_left_over_at_a_point_is_still_taken(tmp_path):
+    # The final (1, 0) needs the second worker to run to its end before
+    # the first writes, and before main spawns the reader. The look-back
+    # banks that branch as the only one left at its state; the iterations
+    # that would bank it again end in a race first. So the store must keep
+    # a remainder that no longer conflicts with anything.
+    workers = (
+        (("write", 0),),
+        (("write", 0), ("read", 1), ("read", 1), ("write", 0)),
+        (("read", 0),),
+    )
+    program = to_program(workers, 0)
+    reduced = verdict(program, tmp_path / "dpor")
+    exhaustive = verdict(program, tmp_path / "all", dpor_enabled=False)
+    assert exhaustive == (93, {(1, 0), (3, 0)}, {"data-race"})
+    assert reduced == (32, {(1, 0), (3, 0)}, {"data-race"})
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="cond_wait releases the mutex and registers its waiter inside the "
@@ -124,7 +142,7 @@ def programs(draw):
     workers = []
     for i in range(count):
         room = budget - (count - i - 1)  # at least one operation per later worker
-        ops = draw(st.lists(_ops(i), min_size=1, max_size=min(3, room)))
+        ops = draw(st.lists(_ops(i), min_size=1, max_size=min(4, room)))
         if room - len(ops) >= 2 and draw(st.booleans()):
             lo = draw(st.integers(0, len(ops) - 1))
             hi = draw(st.integers(lo, len(ops) - 1)) + 1

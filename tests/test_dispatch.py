@@ -1,12 +1,17 @@
 import io
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shadowcheck
 from shadowcheck import Api, BacktrackPoint, DispatchError, ProgramHandle, ViolationKind
 from shadowcheck.corpus import get_program
 from shadowcheck.dispatch import (
@@ -295,3 +300,18 @@ def test_a_failing_worker_raises_instead_of_hanging(tmp_path):
     # node 1 hands it back rather than exploring it too.
     assert "worker 2" in str(error)
     assert isinstance(error.__cause__, _ReadOne)
+
+
+def test_importing_the_package_loads_neither_socket_nor_datetime():
+    # Only the links and ``write_report`` need them, and every set-up pays
+    # for what the package imports.
+    src = str(Path(shadowcheck.__file__).parent.parent)
+    probe = (
+        "import sys; before = set(sys.modules); import shadowcheck; "
+        "print(sorted({'socket', 'datetime'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

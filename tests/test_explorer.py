@@ -2,7 +2,6 @@ import pytest
 
 from shadowcheck import Api, BacktrackPoint, ProgramHandle
 from shadowcheck.dispatch import encode_point
-from shadowcheck.dpor import is_backtrack_point
 from shadowcheck.explorer import BacktrackStore, ExplorationConfig, Explorer, explore
 from shadowcheck.corpus import get_program
 from shadowcheck.model import AccessKind, ObjectId, ThreadId, Token, make_visible_op
@@ -60,13 +59,20 @@ def test_branch_keeps_a_still_conflicting_remainder():
     assert survivor is not None and survivor.pending == {2, 3}
 
 
-def test_branch_drops_a_pairwise_independent_remainder():
-    # Remaining pending ops on distinct objects no longer justify the
-    # point, so it is dropped despite a nonempty pending set.
+def test_branch_keeps_a_pairwise_independent_remainder():
+    # A look-back addition owes its thread a branch whether or not the
+    # rest of the point still conflicts: an iteration aborted by a race
+    # may never execute the step that would bank it again.
     store = seeded_store([point([0], 1, {1, 2, 3})])
     live_ops = {1: w_op(1, 5), 2: w_op(2, 6), 3: w_op(3, 7)}
-    assert not is_backtrack_point({2: live_ops[2], 3: live_ops[3]})
-    store.take_branch(store.select_point(), live_ops)
+    assert store.take_branch(store.select_point(), live_ops) == 1
+    survivor = store.select_point()
+    assert survivor is not None and survivor.pending == {2, 3}
+
+
+def test_branch_clears_a_remainder_whose_thread_is_not_live():
+    store = seeded_store([point([0], 1, {1, 2, 3})])
+    assert store.take_branch(store.select_point(), {1: w_op(1, 5), 2: w_op(2, 5)}) == 1
     assert store.select_point() is None
 
 
@@ -86,7 +92,10 @@ def test_pending_only_shrinks_per_branch():
     after_point = store.select_point()
     assert after_point is not None and len(after_point.pending) == before - 1
     store.take_branch(after_point, live_ops)
-    assert store.select_point() is None  # singleton remainder is dropped
+    last = store.select_point()
+    assert last is not None and last.pending == {3}  # a singleton remainder is kept
+    store.take_branch(last, live_ops)
+    assert store.select_point() is None
 
 
 def test_store_file_round_trips(tmp_path):

@@ -18,7 +18,9 @@ import pytest
 
 from shadowcheck.corpus import PROGRAMS, get_program
 from shadowcheck.dispatch import check_distributed, check_remote, serve_worker
-from shadowcheck.explorer import ExplorationConfig
+from shadowcheck.explorer import ExplorationConfig, Explorer
+from shadowcheck.runtime import SchedulePlan
+from shadowcheck.scheduler import IterationOutcome
 from shadowcheck.tracer import parse_trace
 
 from _shadow_ports import to_program
@@ -87,14 +89,11 @@ def test_livelock_on_two_nodes_runs_the_single_node_iterations(tmp_path):
 
 @pytest.mark.parametrize("nodes", (2, 3))
 def test_random_programs_explore_each_schedule_once(nodes, tmp_path):
-    """As on the corpus, except that a split run may explore more schedules.
+    """As on the corpus: the nodes split exactly the one-node run's schedules.
 
-    Which branches a point keeps depends on the order in which look-back
-    additions reach it (``BacktrackStore.take_branch`` drops a remainder
-    that no longer conflicts), and a node takes its roots' branches before
-    the other nodes' additions reach the master. Here program 11 on three
-    nodes runs 48 iterations against 44 and reports two race traces the
-    one-node run pruned. Every one-node schedule is still explored.
+    A point keeps every branch banked at it until the branch is taken, so
+    the order in which look-back additions reach a point, on this node or
+    through the master, does not change which branches it owes.
     """
     rng = random.Random(20261019)
     for i in range(60):
@@ -102,18 +101,32 @@ def test_random_programs_explore_each_schedule_once(nodes, tmp_path):
         (single, single_steps), (split, split_steps) = explore_split(
             program, nodes, tmp_path / str(i), bound=300
         )
-        assert split_steps >= single_steps
-        assert set(_violations(split)) >= set(_violations(single))
-        assert {v.kind for v in split.violations} == {v.kind for v in single.violations}
+        assert split.iterations_run <= single.iterations_run
+        assert set(_violations(split)) == set(_violations(single))
+        assert split_steps == single_steps
 
 
 # One worker reads a cell three times, the other reads and then writes it.
-# On two nodes the master explores six of the ten iterations itself, from
-# points the workers handed back.
+# On two nodes the master explores one of the four iterations itself, from
+# a point a worker handed back.
 HANDED_BACK = AbstractProgram(
     workers=[[Op("read", 0)] * 3, [Op("read", 0), Op("write", 0, 1)]],
     n_cells=1,
 )
+
+
+def test_a_race_banks_each_racer_once_at_its_latest_state(tmp_path):
+    # Iteration 0 announces tid 1's read at depth 3 and tid 2's write at 4,
+    # and the race aborts it. The reader is owed a branch where the write
+    # is announced, and the writer's thread where the read is; no earlier
+    # state of either window is banked.
+    explorer = Explorer(to_program(HANDED_BACK, "handed-back"), ExplorationConfig(out_dir=tmp_path))
+    result = explorer._run_iteration(0, SchedulePlan())
+    assert result.outcome is IterationOutcome.DATA_RACE
+    racing = result.race_detail.object
+    racers = sorted((int(op.tid), at) for op, at in result.pending if op.target == racing)
+    assert racers == [(1, 3), (2, 4)]
+    assert [(p.depth, p.pending) for p in explorer.store.live_points()] == [(4, {1}), (3, {2})]
 
 
 def test_remote_workers_hand_points_back_over_tcp(tmp_path):
@@ -122,7 +135,7 @@ def test_remote_workers_hand_points_back_over_tcp(tmp_path):
         program, ExplorationConfig(out_dir=tmp_path / "local", node_count=2, keep_all_traces=True)
     )
     master_files = [p for p in _step_lists_by_name(tmp_path / "local") if not p.startswith("node")]
-    assert len(master_files) == 7  # iteration 0, then six handed back
+    assert len(master_files) == 2  # iteration 0, then one point handed back
 
     servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
     failures: list[Exception] = []
@@ -152,6 +165,6 @@ def test_remote_workers_hand_points_back_over_tcp(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
     single = check_distributed(program, ExplorationConfig(out_dir=tmp_path / "single"))
-    assert remote.iterations_run == local.iterations_run == single.iterations_run == 10
+    assert remote.iterations_run == local.iterations_run == single.iterations_run == 4
     assert sorted(_violations(remote)) == sorted(_violations(local))
     assert set(_violations(remote)) == set(_violations(single))
