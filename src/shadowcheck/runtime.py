@@ -12,10 +12,13 @@ end). There, still in control, it records the boundary in the scheduler
 itself and opens the gate of whoever handed it control, then waits on
 its permit again. Program threads touch checker-side structures
 (scheduler, identities, race counters) only while they are in control, so
-nothing here needs a lock beyond the gates. A program thread counts its
-completed cell accesses itself but only queues the ones it announces; the
-runner feeds those to the race detector when it has control back, in
-announcement order, so a race always fires on the runner thread.
+nothing here needs a lock beyond the gates. Every primitive takes one
+path, ``ExecutionContext.visible``, which announces the operation (token
+``y`` exactly when the primitive states a pass condition), parks, and
+takes the effect once granted. For a cell access it counts the completion
+itself but only queues the announcement; the runner feeds the queue to the
+race detector when it has control back, in announcement order, so a race
+always fires on the runner thread.
 
 The main thread starts in control: it runs its prologue (registrations,
 up to its first announcement) before the first decision. A spawned
@@ -45,11 +48,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .dpor import ExecutedStep, ExecutionLog
-from .errors import CheckerStoppedError, ProtocolError
-from .model import AccessKind, ObjectId, RaceDetail, Trace, VisibleOp
+from .errors import CheckerStoppedError, ProtocolError, UsageError
+from .model import DONT_CARE, AccessKind, ObjectId, RaceDetail, ThreadId, Token, Trace, VisibleOp
+from .model import make_visible_op
 from .race import RaceDetector
 from .scheduler import Decision, IterationOutcome, Scheduler
-from .shadow import Api, ProgramHandle, SharedCell
+from .shadow import Api, ProgramHandle, SharedCell, ShadowObject
 
 
 class _IterationAbort(BaseException):
@@ -96,56 +100,65 @@ class ExecutionContext:
 
     # -- called from program threads -------------------------------------------
 
-    def current_tid(self) -> int:
-        return self._current_host().tid
+    def current_tid(self) -> ThreadId:
+        return ThreadId(self._current_host().tid)
 
     def check_alive(self) -> None:
         if self.aborted:
             raise CheckerStoppedError("the checker has stopped this execution")
 
-    def register_object(self, handle: Any, *, is_cell: bool) -> ObjectId:
+    def register(self, handle: ShadowObject) -> Any:
+        """Give ``handle`` the next dense id and this owner; watch a cell for races."""
         self.check_alive()
-        oid = ObjectId(len(self.objects))
+        handle.oid = ObjectId(len(self.objects))
+        handle._ctx = self
         self.objects.append(handle)
-        if is_cell and self.race is not None:
-            self.race.on_register(oid)
-        return oid
+        if self.race is not None and isinstance(handle, SharedCell):
+            self.race.on_register(handle.oid)
+        return handle
 
-    def race_pending(self, oid: ObjectId, kind: AccessKind) -> None:
-        if self.race is not None:
-            self.announced.append((oid, kind))
-
-    def race_complete(self, oid: ObjectId, kind: AccessKind) -> None:
-        if self.race is not None:
-            self.race.on_complete(oid, kind)
-
-    def thread_exists(self, tid: int) -> bool:
-        return tid in self.hosts
+    def caller(self, obj: ShadowObject | None = None) -> _Host:
+        """The calling program thread, once ``obj`` is known to belong here."""
+        if obj is not None and getattr(obj, "_ctx", None) is not self:
+            raise UsageError(f"{type(obj).__name__} does not belong to the current execution")
+        return self._current_host()
 
     def thread_ended(self, tid: int) -> bool:
         return self.scheduler.status_of(tid).ended
 
     def visible(
-        self, op: VisibleOp, effect: Callable[[], Any], ready: Callable[[], bool] | None = None
+        self,
+        host: _Host,
+        obj: ShadowObject | None,
+        access: AccessKind,
+        effect: Callable[[], Any],
+        ready: Callable[[], bool] | None = None,
     ) -> Any:
-        """Announce ``op``, park until granted, then take ``effect``.
+        """Announce ``host``'s ``access`` to ``obj`` (none for spawn and join),
+        park until granted, then take ``effect`` and return its result.
 
-        A waiting operation passes only once ``ready()`` holds, and the
-        scheduler grants it only then; a grant that finds it false is a
-        checker bug, raised before the effect can touch shadow state.
+        A waiting operation passes only once its condition ``ready()`` holds,
+        and the scheduler grants it only then; a grant that finds it false
+        is a checker bug, raised before the effect can touch shadow state.
         """
-        host = self._current_host()
+        token = Token.NON_BLOCKING if ready is None else Token.WAITING
+        target = DONT_CARE if obj is None else obj.oid
+        op = make_visible_op(token, host.tid, access, target)
+        watched = self.race is not None and isinstance(obj, SharedCell)
+        if watched:
+            self.announced.append((target, access))
         self._park(host, op, ready)
         if ready is not None and not ready():
             raise ProtocolError(f"thread {host.tid} granted {op.to_wire()}, which cannot pass")
         result = effect()
+        if watched:
+            self.race.on_complete(target, access)
         self.scheduler.on_progress(host.tid)
         return result
 
-    def spawn_child(self, body: Callable[[Api], None]) -> int:
+    def spawn_child(self, spawner: _Host, body: Callable[[Api], None]) -> int:
         """Runs inside the spawner's partition; returns once the child parks."""
         self.check_alive()
-        spawner = self._current_host()
         tid = len(self.hosts)
         spawner.parked = True
         self._start(_Host(tid=tid, hand_back=spawner.permit), body)

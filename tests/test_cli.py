@@ -143,6 +143,41 @@ def test_check_against_a_tcp_worker(tmp_path):
     assert code == 1
 
 
+def test_check_against_a_cli_worker(tmp_path, capsys, monkeypatch):
+    # The worker command binds port 0; the wrapped ``create_server`` tells
+    # the test which port it got.
+    servers = []
+    bound = threading.Event()
+    create_server = socket.create_server
+
+    def recording_create_server(*args, **kwargs):
+        server = create_server(*args, **kwargs)
+        servers.append(server)
+        bound.set()
+        return server
+
+    monkeypatch.setattr(socket, "create_server", recording_create_server)
+    program = ["--program", "deadlock-two-mutexes"]
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(
+            run(["worker", *program, "--out", str(tmp_path / "worker"), "--listen", "127.0.0.1:0"])
+        ),
+        daemon=True,
+    )
+    worker.start()
+    assert bound.wait(timeout=60)
+    port = servers[0].getsockname()[1]
+    master = ["--out", str(tmp_path / "master"), "--workers", f"127.0.0.1:{port}"]
+    code = run(["check", *program, *master])
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert (codes, code) == ([0], 1)
+    assert "workload complete" in capsys.readouterr().out.splitlines()
+    traces = [p.name for p in (tmp_path / "worker" / "traces").iterdir()]
+    assert traces and all(name.startswith("node1_") for name in traces)
+
+
 def test_a_worker_report_missing_a_field_exits_usage(tmp_path, capsys):
     # A fake worker: it takes the workload and answers with a report that
     # lacks ``iterations_run``.

@@ -1,9 +1,9 @@
 """DPOR against exhaustive exploration (``--no-dpor``).
 
 Both must find the same terminal cell vectors and the same violation
-kinds. Three fixed programs pin cases where the reduction once differed or
-still differs; a generated family covers mutexes, trylock, a semaphore
-and mid-body joins.
+kinds. Three fixed programs pin cases where the reduction once differed;
+a generated family covers mutexes, trylock, a semaphore, a condition
+variable and mid-body joins.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ def test_a_branch_left_over_at_a_point_is_still_taken(tmp_path):
     assert reduced == (32, {(1, 0), (3, 0)}, {"data-race"})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="cond_wait releases the mutex and registers its waiter inside the "
-    "thread's previous step, so a signal looks independent of it",
-)
 def test_dpor_finds_the_lost_signal_deadlock(tmp_path):
+    # The signal is lost when it runs before the waiter registers. That
+    # registration is the first of cond_wait's own visible steps, so the
+    # signal and the waiter conflict on the condvar.
     def entry(api: Api) -> None:
         m = api.new_mutex()
         c = api.new_condvar()
@@ -122,11 +120,15 @@ def _ops(worker: int):
     plain = st.one_of(
         st.tuples(st.just("read"), st.integers(0, CELLS - 1)),
         st.tuples(st.just("write"), st.integers(0, CELLS - 1)),
-        st.sampled_from([("post",), ("wait",)]),
+        st.sampled_from([("post",), ("wait",), ("signal",)]),
     )
     if worker == 0:
         return plain
     return st.one_of(plain, st.tuples(st.just("join"), st.integers(0, worker - 1)))
+
+
+# A locked segment's opening operations and its closing one.
+SEGMENTS = ((("lock",), "unlock"), (("trylock",), "tryunlock"), (("lock", "cond_wait"), "unlock"))
 
 
 @st.composite
@@ -134,8 +136,9 @@ def programs(draw):
     """(workers, semaphore's initial count, race detection on); a worker is a
     tuple of operations.
 
-    The workers share a budget of operations, mutex ones included, which
-    keeps exhaustive exploration to a few hundred schedules a program.
+    The workers share a budget of operations, those of a locked segment
+    included, which keeps exhaustive exploration to a few hundred schedules
+    a program.
     """
     count = draw(st.integers(2, 3))
     budget = OP_BUDGET
@@ -146,21 +149,24 @@ def programs(draw):
         if room - len(ops) >= 2 and draw(st.booleans()):
             lo = draw(st.integers(0, len(ops) - 1))
             hi = draw(st.integers(lo, len(ops) - 1)) + 1
-            take, give = draw(st.sampled_from([("lock", "unlock"), ("trylock", "tryunlock")]))
-            ops = ops[:lo] + [(take,)] + ops[lo:hi] + [(give,)] + ops[hi:]
+            fits = [seg for seg in SEGMENTS if len(seg[0]) < room - len(ops)]
+            opening, closing = draw(st.sampled_from(fits))
+            ops = ops[:lo] + [(op,) for op in opening] + ops[lo:hi] + [(closing,)] + ops[hi:]
         budget -= len(ops)
         workers.append(tuple(ops))
     return tuple(workers), draw(st.integers(0, 1)), draw(st.booleans())
 
 
 def to_program(workers, sem_initial: int) -> ProgramHandle:
-    """Main registers the cells, the mutex and the semaphore, spawns the
-    workers in order and joins them. Each write stores a value of its own."""
+    """Main registers the cells, the mutex, the semaphore and the condvar,
+    spawns the workers in order and joins them. Each write stores a value of
+    its own."""
 
     def entry(api: Api) -> None:
         cells = [api.register_shared(0) for _ in range(CELLS)]
         m = api.new_mutex()
         s = api.new_semaphore(sem_initial)
+        c = api.new_condvar()
         tids: list[int] = []
         value = iter(range(1, 100))
 
@@ -188,6 +194,10 @@ def to_program(workers, sem_initial: int) -> ProgramHandle:
                         a.sem_post(s)
                     elif kind == "wait":
                         a.sem_wait(s)
+                    elif kind == "signal":
+                        a.cond_signal(c)
+                    elif kind == "cond_wait":
+                        a.cond_wait(c, m)
                     else:
                         a.join(tids[op[1]])
 
@@ -212,8 +222,12 @@ def to_program(workers, sem_initial: int) -> ProgramHandle:
 def test_dpor_agrees_with_exhaustive_exploration(drawn):
     """Equal terminal cell vectors and violation kinds on generated programs.
 
-    Condition variables stay out of the generator only because DPOR still
-    misses a lost-signal deadlock (``test_dpor_finds_the_lost_signal_deadlock``).
+    Every primitive appears: reads and writes, a mutex taken by lock or
+    trylock, semaphore posts and waits, condvar signals, and a lock segment
+    that opens with a ``cond_wait`` on it. Forty examples keep this fast;
+    ``test_dpor_finds_the_lost_signal_deadlock`` is the fixed guard for the
+    lost-signal deadlock, which this generator also finds when
+    ``cond_wait`` registers its waiter without a visible step of its own.
     """
     workers, sem_initial, races = drawn
     program = to_program(workers, sem_initial)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from shadowcheck import Api, ProgramHandle, UsageError
+from shadowcheck import (
+    Api,
+    ProgramHandle,
+    SharedCell,
+    ShadowCondVar,
+    ShadowMutex,
+    ShadowSemaphore,
+    UsageError,
+)
 from shadowcheck.runtime import IterationRunner
 from shadowcheck.scheduler import IterationOutcome
 
@@ -25,16 +33,18 @@ def test_thread_ids_are_dense_from_zero():
 
 def test_object_ids_follow_registration_order():
     ctx = make_runner().ctx
-    handles = [object() for _ in range(3)]
-    assert [int(ctx.register_object(h, is_cell=False)) for h in handles] == [0, 1, 2]
+    handles = [SharedCell(0), ShadowMutex(), ShadowCondVar()]
+    assert [ctx.register(h) for h in handles] == handles
+    assert [int(h.oid) for h in handles] == [0, 1, 2]
     assert ctx.objects == handles
+    assert all(h._ctx is ctx for h in handles)
 
 
 def test_cell_registration_notifies_race_detector():
     ctx = make_runner().ctx
-    ctx.register_object(object(), is_cell=True)
-    ctx.register_object(object(), is_cell=False)
-    ctx.register_object(object(), is_cell=True)
+    ctx.register(SharedCell(0))
+    ctx.register(ShadowSemaphore(0))
+    ctx.register(SharedCell(0))
     assert ctx.race.counters(0) == (0, 0)
     assert ctx.race.counters(2) == (0, 0)
     with pytest.raises(UsageError):

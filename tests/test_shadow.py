@@ -104,19 +104,94 @@ def test_read_sees_own_write_sequentially():
     assert seen["value"] == 5
 
 
-def test_foreign_cell_rejected():
+def _one_of_each(api: Api) -> dict:
+    return {
+        "cell": api.register_shared(0),
+        "mutex": api.new_mutex(),
+        "semaphore": api.new_semaphore(1),
+        "condvar": api.new_condvar(),
+    }
+
+
+# Every primitive that names objects, once for each object it names.
+NAMED_OBJECTS = [
+    pytest.param(kind, call, id=f"{primitive}-{kind}")
+    for primitive, kind, call in (
+        ("read", "cell", lambda api, o: api.read(o["cell"])),
+        ("write", "cell", lambda api, o: api.write(o["cell"], 1)),
+        ("mutex_lock", "mutex", lambda api, o: api.mutex_lock(o["mutex"])),
+        ("mutex_unlock", "mutex", lambda api, o: api.mutex_unlock(o["mutex"])),
+        ("mutex_trylock", "mutex", lambda api, o: api.mutex_trylock(o["mutex"])),
+        ("sem_wait", "semaphore", lambda api, o: api.sem_wait(o["semaphore"])),
+        ("sem_post", "semaphore", lambda api, o: api.sem_post(o["semaphore"])),
+        ("cond_wait", "condvar", lambda api, o: api.cond_wait(o["condvar"], o["mutex"])),
+        ("cond_wait", "mutex", lambda api, o: api.cond_wait(o["condvar"], o["mutex"])),
+        ("cond_signal", "condvar", lambda api, o: api.cond_signal(o["condvar"])),
+    )
+]
+
+
+@pytest.mark.parametrize("kind,call", NAMED_OBJECTS)
+def test_foreign_object_rejected(kind, call):
     leaked = {}
-
-    def first(api: Api) -> None:
-        leaked["cell"] = api.register_shared(0)
-
-    run_once(first)
+    run_once(lambda api: leaked.update(_one_of_each(api)))
 
     def second(api: Api) -> None:
-        api.read(leaked["cell"])
+        objects = _one_of_each(api)
+        objects[kind] = leaked[kind]
+        call(api, objects)
 
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="does not belong to the current execution"):
         run_once(second)
+
+
+def test_each_primitive_announces_its_token():
+    # ``y`` exactly for the operations with a pass condition: lock,
+    # semaphore wait, join and the condvar wake-up.
+    def entry(api: Api) -> None:
+        o = _one_of_each(api)
+        cell, m, s, c = o["cell"], o["mutex"], o["semaphore"], o["condvar"]
+        api.read(cell)
+        api.write(cell, 1)
+        api.mutex_lock(m)
+        api.mutex_unlock(m)
+        api.mutex_trylock(m)
+        api.mutex_unlock(m)
+        api.sem_wait(s)
+        api.sem_post(s)
+        api.cond_signal(c)
+
+        def signaller(a: Api) -> None:
+            a.mutex_lock(m)
+            a.cond_signal(c)
+            a.mutex_unlock(m)
+
+        api.mutex_lock(m)
+        tid = api.spawn_thread(signaller)
+        api.cond_wait(c, m)  # the signaller can lock only once this waits
+        api.mutex_unlock(m)
+        api.join(tid)
+
+    result = run_once(entry)
+    assert result.outcome is IterationOutcome.NORMAL_END
+    assert [op.to_wire() for op in result.op_log if op.tid == 0] == [
+        "{n,0,r,0}",  # read
+        "{n,0,w,0}",  # write
+        "{y,0,w,1}",  # lock
+        "{n,0,w,1}",  # unlock
+        "{n,0,w,1}",  # trylock
+        "{n,0,w,1}",  # unlock
+        "{y,0,w,2}",  # sem_wait
+        "{n,0,w,2}",  # sem_post
+        "{n,0,w,3}",  # cond_signal
+        "{y,0,w,1}",  # lock
+        "{n,0,dc,dc}",  # spawn
+        "{n,0,w,3}",  # cond_wait: register the waiter
+        "{n,0,w,1}",  # cond_wait: unlock
+        "{y,0,w,3}",  # cond_wait: wake up
+        "{n,0,w,1}",  # unlock
+        "{y,0,dc,dc}",  # join
+    ]
 
 
 def test_uncontended_lock_and_unlock():
