@@ -9,7 +9,6 @@ violating schedule as a replayable trace file.
 
 from .errors import (
     CheckerError,
-    CheckerStoppedError,
     DispatchError,
     ProtocolError,
     ReplayDivergenceError,
@@ -33,14 +32,13 @@ from .model import (
 )
 from .scheduler import IterationOutcome, estimate_bound
 from .shadow import Api, ProgramHandle, SharedCell, ShadowCondVar, ShadowMutex, ShadowSemaphore
-from .tracer import ReplayReport, format_trace, parse_trace, replay
+from .tracer import format_trace, parse_trace, replay
 
 __all__ = [
     "AccessKind",
     "Api",
     "BacktrackPoint",
     "CheckerError",
-    "CheckerStoppedError",
     "DispatchError",
     "DONT_CARE",
     "ExplorationConfig",
@@ -52,7 +50,6 @@ __all__ = [
     "ProtocolError",
     "RaceDetail",
     "ReplayDivergenceError",
-    "ReplayReport",
     "SharedCell",
     "ShadowCondVar",
     "ShadowMutex",

@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser("worker", help="serve one workload from a master")
     add_common(worker)
     worker.add_argument("--listen", required=True, help="host:port to listen on")
-    worker.add_argument("--node-id", type=int, default=1)
 
     est = sub.add_parser("estimate-bound", help="sum per-thread partition counts")
     est.add_argument("partitions", type=int, nargs="+")
@@ -84,7 +83,7 @@ def _resolve_program(name: str) -> object:
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _config_from_args(args: argparse.Namespace, node_id: int = 0) -> ExplorationConfig:
+def _config_from_args(args: argparse.Namespace) -> ExplorationConfig:
     return ExplorationConfig(
         out_dir=Path(args.out),
         bound=args.bound,
@@ -94,7 +93,6 @@ def _config_from_args(args: argparse.Namespace, node_id: int = 0) -> Exploration
         keep_all_traces=args.keep_all_traces,
         node_count=getattr(args, "nodes", 1),
         seed_trace=args.seed_trace,
-        node_id=node_id,
     )
 
 
@@ -122,21 +120,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     trace = parse_trace(args.trace)
     # A trace lives in <out>/traces/; the run's report is <out>/report.txt.
     bound, strict = recorded_run(Path(args.trace).resolve().parent.parent / "report.txt")
-    report = replay(
+    result = replay(
         program,
         trace,
         bound=bound if args.bound is None else args.bound,
         race_enabled=not args.no_race,
         strict_races=strict,
     )
-    sys.stdout.write(report.op_log_text())
-    print(f"outcome={report.outcome.value}")
-    return EXIT_VIOLATIONS if report.violation_kind is not None else EXIT_CLEAN
+    sys.stdout.write("".join(op.to_wire() + "\n" for op in result.op_log))
+    print(f"outcome={result.outcome.value}")
+    return EXIT_VIOLATIONS if result.violation_kind is not None else EXIT_CLEAN
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program)
-    config = _config_from_args(args, node_id=args.node_id)
+    config = _config_from_args(args)
     host, _, port = args.listen.rpartition(":")
     server = socket.create_server((host or "127.0.0.1", int(port)))
     with server:

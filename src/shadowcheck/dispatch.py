@@ -17,12 +17,17 @@ there). The master merges all of these into its store, where a thread
 done anywhere stays done, and drains what is still owed before merging
 the reports. No schedule is explored twice across nodes.
 
+The master numbers the nodes (1 to n, in link order; the master itself is
+node 0) and tells each worker its number in the workload header, so trace
+files and store files of workers sharing one output directory never
+collide. A worker has no number of its own.
+
 Worker protocol over any reliable byte stream, one message per line:
 
-    worker -> master:  HELLO <node_id>
-    master -> worker:  WORKLOAD <count>   followed by <count> point records
-    worker -> master:  DONE <count>       followed by <count> point records
-                                          handed back, then one JSON report line
+    worker -> master:  HELLO
+    master -> worker:  WORKLOAD <node_id> <count>   followed by <count> point records
+    worker -> master:  DONE <count>                 followed by <count> point records
+                                                    handed back, then one JSON report line
     master -> worker:  BYE
 """
 
@@ -113,7 +118,7 @@ def partition(points: list[BacktrackPoint], n: int) -> list[Workload]:
 # -- report serialization --------------------------------------------------------------
 
 
-# A report's integer fields, in wire order.
+# A report's integer fields, in wire order: its node id, then its counters.
 _COUNTS = ("node_id", "iterations_run", "bound_warnings", "points_explored", "unfair_prunes")
 
 
@@ -156,7 +161,7 @@ def decode_report(text: str):
                 ViolationReport(
                     kind=ViolationKind(entry["kind"]),
                     iteration=entry["iteration"],
-                    trace=Trace(steps=list(entry["steps"]), iteration=entry["iteration"]),
+                    trace=Trace(steps=list(entry["steps"])),
                     race_detail=(
                         None
                         if race is None
@@ -186,26 +191,26 @@ def _read_line(stream: IO[str], context: str) -> str:
     return line.rstrip("\n")
 
 
-def _read_count(stream: IO[str], keyword: str) -> int:
-    """Read a ``<keyword> <count>`` header line."""
+def _read_header(stream: IO[str], keyword: str, *fields: str) -> list[int]:
+    """Read a ``<keyword> <field>...`` header line of decimal fields."""
     header = _read_line(stream, f"{keyword} header")
-    name, _, count = header.partition(" ")
-    if name != keyword or not count.isdecimal():
-        raise DispatchError(f"expected {keyword} <count>, got {header!r}")
-    return int(count)
+    name, *values = header.split(" ")
+    if name != keyword or len(values) != len(fields) or not all(v.isdecimal() for v in values):
+        raise DispatchError(f"expected {' '.join((keyword, *fields))}, got {header!r}")
+    return [int(v) for v in values]
 
 
 def serve_worker(rfile: IO[str], wfile: IO[str], program, config) -> None:
-    """Run the worker side: announce, receive a workload, explore, hand
-    points back, report."""
+    """Run the worker side: announce, receive a workload and this node's id,
+    explore, hand points back, report."""
     from .explorer import Explorer
 
-    wfile.write(f"HELLO {config.node_id}\n")
+    wfile.write("HELLO\n")
     wfile.flush()
-    count = _read_count(rfile, "WORKLOAD")
+    node_id, count = _read_header(rfile, "WORKLOAD", "<node_id>", "<count>")
     points = [decode_point(_read_line(rfile, "point record")) for _ in range(count)]
 
-    explorer = Explorer(program, config)
+    explorer = Explorer(program, replace(config, node_id=node_id))
     report = explorer.explore(seed_points=points)
 
     wfile.write(f"DONE {len(report.handed_back)}\n")
@@ -220,13 +225,13 @@ def send_workload(rfile: IO[str], wfile: IO[str], workload: Workload):
     """Run the master side of one worker link; returns the worker's report,
     with the points it handed back."""
     hello = _read_line(rfile, "HELLO")
-    if not hello.startswith("HELLO "):
+    if hello != "HELLO":
         raise DispatchError(f"expected HELLO, got {hello!r}")
-    wfile.write(f"WORKLOAD {len(workload.points)}\n")
+    wfile.write(f"WORKLOAD {workload.node_id} {len(workload.points)}\n")
     for point in workload.points:
         wfile.write(encode_point(point) + "\n")
     wfile.flush()
-    count = _read_count(rfile, "DONE")
+    (count,) = _read_header(rfile, "DONE", "<count>")
     handed_back = [
         decode_point(_read_line(rfile, "point record"), exhausted_ok=True)
         for _ in range(count)
@@ -253,8 +258,7 @@ def check_distributed(program, config):
         return explore(program, config)
 
     def link(workload: Workload):
-        worker_config = replace(config, node_id=workload.node_id)
-        return _run_worker_over_socketpair(program, worker_config, workload)
+        return _run_worker_over_socketpair(program, config, workload)
 
     return _run_master(program, config, config.node_count, link)
 
@@ -273,7 +277,7 @@ def _run_worker_over_socketpair(program, config, workload: Workload):
             except BaseException as exc:
                 worker_err.append(exc)
 
-    thread = threading.Thread(target=worker_side, name=f"worker-{config.node_id}", daemon=True)
+    thread = threading.Thread(target=worker_side, name=f"worker-{workload.node_id}", daemon=True)
     thread.start()
     try:
         with left, left.makefile("r") as rfile, left.makefile("w") as wfile:
@@ -283,7 +287,7 @@ def _run_worker_over_socketpair(program, config, workload: Workload):
         if worker_err:
             error = worker_err[0]
             raise DispatchError(
-                f"worker {config.node_id} failed: {type(error).__name__}: {error}"
+                f"worker {workload.node_id} failed: {type(error).__name__}: {error}"
             ) from error
 
 
@@ -321,14 +325,12 @@ def _run_master(program, config, node_count: int, link: Callable[[Workload], obj
 
 
 def _merge_reports(master, worker_reports):
-    worker_reports = sorted(worker_reports, key=lambda r: r.node_id)
+    """Add the workers' counters and violations, in node order, to the
+    master's report, and write the merged ``report.txt``."""
     merged = master.report
-    for report in worker_reports:
-        merged.iterations_run += report.iterations_run
-        merged.bound_warnings += report.bound_warnings
-        merged.points_explored += report.points_explored
-        merged.unfair_prunes += report.unfair_prunes
+    for report in sorted(worker_reports, key=lambda r: r.node_id):
+        for name in _COUNTS[1:]:
+            setattr(merged, name, getattr(merged, name) + getattr(report, name))
         merged.violations.extend(report.violations)
-    master.sink.violations = list(merged.violations)
-    master.sink.write_report()
+    master.sink.write_report(merged.violations)
     return merged

@@ -22,10 +22,6 @@ class ProtocolError(CheckerError):
     """An internal invariant of the checker was violated."""
 
 
-class CheckerStoppedError(CheckerError):
-    """The exploration has shut down; no further program activity allowed."""
-
-
 class TraceParseError(CheckerError):
     """A trace file is malformed."""
 

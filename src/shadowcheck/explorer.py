@@ -1,13 +1,14 @@
 """The exploration controller and its backtrack-point store.
 
 Iteration 0 runs free. Every later iteration takes the deepest stored
-backtrack point, replays its schedule prefix, forces one still-unexplored
-thread at the branch state, and continues free to an outcome. Points are
-keyed by (schedule prefix, depth): the checker is stateless and never
-captures program state, so the prefix *is* the state's name. A key
-remembers the threads already taken from it for the whole run, which is
-what guarantees no branch is explored twice and the store provably
-empties for bounded programs.
+backtrack point and one still-unexplored thread from it before it starts,
+replays the point's schedule prefix, forces that thread at the branch
+state, and continues free to an outcome. Points are keyed by (schedule
+prefix, depth): the checker is stateless and never captures program
+state, so the prefix *is* the state's name. A key remembers the threads
+already taken from it for the whole run, which is what guarantees no
+branch is explored twice and the store provably empties for bounded
+programs.
 
 Backtrack points are mined from the finished iteration, in one pass
 (``Explorer._bank``) that runs only when its outcome lets points be
@@ -20,7 +21,9 @@ next transition counts, enabled or not); and race reports, which abort
 the iteration before the racing accesses execute and so bank the
 overlap-avoiding schedules themselves, each racer once, at the latest state
 that avoids the overlap. A point owes every branch banked at it until the
-branch is taken.
+branch is taken. Each branch names a thread enabled at the point's state
+(as in Flanagan and Godefroid's DPOR), and a state is a function of its
+prefix, so every banked branch can be forced.
 With reduction disabled, every state with two or more enabled threads
 branches, which enumerates all schedules.
 
@@ -32,6 +35,10 @@ and each state's prefix is cut from the finished trace, which the runner
 builds from the log. The store holds ``BacktrackPoint``s keyed by
 (prefix, depth) and selects the deepest live one, ties going to the
 latest discovery.
+
+The report's ``violations`` is the exploration's only violation list: the
+trace sink names each violating iteration's file and returns the
+violation, and ``report.txt`` is written from the report's list.
 
 A worker seeded by a master owns only the states under its roots; the
 points it finds elsewhere are handed back instead of banked (see
@@ -50,7 +57,7 @@ from . import dispatch as _codec
 # this module's name as well, and a name it cannot find stops the run.
 from .dpor import ExecutedStep, dependent_subset, enabled_ops, is_backtrack_point, on_execute
 from .errors import ProtocolError
-from .model import AccessKind, BacktrackPoint, ViolationReport, VisibleOp
+from .model import AccessKind, BacktrackPoint, ViolationReport
 from .runtime import IterationResult, IterationRunner, SchedulePlan
 from .scheduler import IterationOutcome, default_bound
 from .shadow import ProgramHandle
@@ -147,14 +154,13 @@ class BacktrackStore:
         live = (p for p in self._records.values() if p.pending)
         return max(live, key=lambda p: (p.depth, p.discovery_iteration), default=None)
 
-    def take_branch(self, point: BacktrackPoint, live_ops: dict[int, VisibleOp]) -> int:
+    def take_branch(self, point: BacktrackPoint) -> int:
         """Extract the lowest-id pending thread; the rest stay owed.
 
         A remainder is kept whether or not its operations still conflict:
         a look-back addition is banked when its step executes, and the
         iterations that would bank it again may end in a race before that
-        step. Only a remainder naming a thread not live at the state is
-        cleared, since no branch of it can be forced.
+        step.
         """
         point = self._records[(point.prefix, point.depth)]
         if not point.pending:
@@ -162,8 +168,6 @@ class BacktrackStore:
         chosen = min(point.pending)
         point.pending.discard(chosen)
         point.done.add(chosen)
-        if any(t not in live_ops for t in point.pending):
-            point.pending.clear()
         return chosen
 
     # -- persistence ----------------------------------------------------------
@@ -272,9 +276,8 @@ class Explorer:
             roots = self.store.seed(seed_points)
             self._roots = [(root, frozenset(root.done)) for root in roots]
         self._drain()
-        self.sink.write_report()
+        self.sink.write_report(self.report.violations)
         self.store.flush()
-        self.report.violations = list(self.sink.violations)
         if self._roots is not None:
             roots = [root for root, _ in self._roots]
             self.report.handed_back = self._hand_back.live_points() + roots
@@ -289,7 +292,6 @@ class Explorer:
         """
         self._run_iteration(0, self._initial_plan())
         self.store.flush()
-        self.report.violations = list(self.sink.violations)
         return self.store.hand_over()
 
     def drain(self, points: list[BacktrackPoint]) -> None:
@@ -300,7 +302,6 @@ class Explorer:
         """
         self.store.seed(points)
         self._drain()
-        self.report.violations = list(self.sink.violations)
 
     def _drain(self) -> None:
         """Take live points, deepest first, until none is left."""
@@ -310,13 +311,8 @@ class Explorer:
             if point is None:
                 break
             iteration += 1
-
-            def pick_branch(live_ops: dict[int, VisibleOp]) -> int:
-                tid = self.store.take_branch(point, live_ops)
-                self.report.points_explored += 1
-                return tid
-
-            plan = SchedulePlan(replay=list(point.prefix), pick_branch=pick_branch)
+            plan = SchedulePlan(replay=list(point.prefix), branch=self.store.take_branch(point))
+            self.report.points_explored += 1
             self._run_iteration(iteration, plan)
             self.store.flush()
 
@@ -364,7 +360,9 @@ class Explorer:
             self.report.bound_warnings += 1
         elif result.outcome is not IterationOutcome.LIVELOCK_CANDIDATE:
             self._bank(result, iteration, len(plan.replay))
-        self.sink.close_iteration(result)
+        violation = self.sink.close_iteration(result)
+        if violation is not None:
+            self.report.violations.append(violation)
         if self.iteration_callback is not None:
             self.iteration_callback(result)
         return result

@@ -130,7 +130,6 @@ class Trace:
     """Ordered list of scheduled thread ids for one execution."""
 
     steps: list[int] = field(default_factory=list)
-    iteration: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)

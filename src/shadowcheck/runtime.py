@@ -29,16 +29,20 @@ to the schedule: a thread's id is the number of threads started before
 it, an object's id its index among the registered objects.
 
 The runner owns the schedule. It prescribes the plan's replayed steps to
-the scheduler, then the forced branch, and then lets the scheduler pick.
+the scheduler, then the plan's forced thread, if it names one, and then
+lets the scheduler pick; a forced thread that cannot run is a divergence.
 It keeps no per-thread state: after each step it asks the scheduler
 whether the schedule turned unfair and, past the bound, how to classify
-the overrun. Its result carries the operations still pending at the end.
+the overrun. Its result carries the operations still pending at the end
+and, read off the outcome, the kind of violation it shows, if any.
 
 Program threads run on a process-wide pool of parked OS threads, so an
 iteration starts an OS thread only when no pooled one is idle. Teardown
 wakes every thread that has handed control back and waits until its
 worker is idle again. A thread stuck outside the shadow API is not waited
-for: it unwinds at its next boundary and rejoins the pool then.
+for: it unwinds at its next boundary (an operation or a registration) and
+rejoins the pool then. Unwinding raises ``_IterationAbort``, a
+``BaseException``, so the program's own ``except Exception`` cannot catch it.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .dpor import ExecutedStep, ExecutionLog
-from .errors import CheckerStoppedError, ProtocolError, UsageError
+from .errors import ProtocolError, UsageError
 from .model import DONT_CARE, AccessKind, ObjectId, RaceDetail, ThreadId, Token, Trace, VisibleOp
-from .model import make_visible_op
+from .model import ViolationKind, make_visible_op
 from .race import RaceDetector
 from .scheduler import Decision, IterationOutcome, Scheduler
 from .shadow import Api, ProgramHandle, SharedCell, ShadowObject
@@ -103,13 +107,10 @@ class ExecutionContext:
     def current_tid(self) -> ThreadId:
         return ThreadId(self._current_host().tid)
 
-    def check_alive(self) -> None:
-        if self.aborted:
-            raise CheckerStoppedError("the checker has stopped this execution")
-
     def register(self, handle: ShadowObject) -> Any:
         """Give ``handle`` the next dense id and this owner; watch a cell for races."""
-        self.check_alive()
+        if self.aborted:
+            raise _IterationAbort()
         handle.oid = ObjectId(len(self.objects))
         handle._ctx = self
         self.objects.append(handle)
@@ -158,7 +159,6 @@ class ExecutionContext:
 
     def spawn_child(self, spawner: _Host, body: Callable[[Api], None]) -> int:
         """Runs inside the spawner's partition; returns once the child parks."""
-        self.check_alive()
         tid = len(self.hosts)
         spawner.parked = True
         self._start(_Host(tid=tid, hand_back=spawner.permit), body)
@@ -313,18 +313,22 @@ _POOL = _Pool()
 class SchedulePlan:
     """How one iteration is driven.
 
-    The runner prescribes the ``replay`` steps verbatim first. ``pick_branch``,
-    when given, runs at the end of the replay with the live pending
-    operations and returns the thread id to force; afterwards the scheduler
-    picks freely.
+    The runner prescribes the ``replay`` steps verbatim first, then the
+    ``branch`` thread, when given; afterwards the scheduler picks freely.
     """
 
     replay: list[int] = field(default_factory=list)
-    pick_branch: Callable[[dict[int, VisibleOp]], int] | None = None
+    branch: int | None = None
 
 
 # Called after each executed step with the log and the step just appended.
 StepHook = Callable[[ExecutionLog, ExecutedStep], None]
+
+_VIOLATION_OF_OUTCOME = {
+    IterationOutcome.DEADLOCK: ViolationKind.DEADLOCK,
+    IterationOutcome.LIVELOCK_CANDIDATE: ViolationKind.LIVELOCK,
+    IterationOutcome.DATA_RACE: ViolationKind.DATA_RACE,
+}
 
 
 @dataclass
@@ -345,6 +349,11 @@ class IterationResult:
     def op_log(self) -> list[VisibleOp]:
         """The executed operations in order, read off the log."""
         return [step.op for step in self.log.steps]
+
+    @property
+    def violation_kind(self) -> ViolationKind | None:
+        """The violation this outcome shows; None for a clean end."""
+        return _VIOLATION_OF_OUTCOME.get(self.outcome)
 
 
 class IterationRunner:
@@ -392,8 +401,7 @@ class IterationRunner:
         sch = self.scheduler
         log = self.log
 
-        replay = self.plan.replay
-        branch_pending = self.plan.pick_branch is not None
+        replay, branch = self.plan.replay, self.plan.branch
 
         ctx.start_main(self.program.entry)
         while True:
@@ -405,9 +413,8 @@ class IterationRunner:
             prescribed, mode = None, "free"
             if len(log) < len(replay):
                 prescribed, mode = replay[len(log)], "replay"
-            elif branch_pending:
-                prescribed, mode = self.plan.pick_branch(pre_ops), "force"
-                branch_pending = False
+            elif branch is not None and len(log) == len(replay):
+                prescribed, mode = branch, "force"
 
             tid = sch.pick_next(prescribed, mode, len(log), enabled=enabled)
             if isinstance(tid, IterationOutcome):
@@ -436,7 +443,7 @@ class IterationRunner:
         return IterationResult(
             iteration=self.iteration,
             outcome=outcome,
-            trace=Trace(steps=[int(s.op.tid) for s in self.log.steps], iteration=self.iteration),
+            trace=Trace(steps=[int(s.op.tid) for s in self.log.steps]),
             decisions=list(sch.decisions),
             log=self.log,
             race_detail=race_detail,

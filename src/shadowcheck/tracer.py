@@ -9,24 +9,22 @@ schedule but not the depth bound, which decides whether an execution ends
 as a livelock candidate, nor the race mode, which decides whether a
 writer-writer overlap is a race; ``report.txt`` records both in its
 header so a replay can use them.
+
+The sink keeps no violation list of its own: ``close_iteration`` returns
+each violation to the explorer, whose report holds the exploration's list,
+and ``write_report`` writes the list it is given. ``replay`` returns the
+runner's own ``IterationResult``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ProtocolError, TraceParseError
-from .model import Trace, ViolationKind, ViolationReport, VisibleOp
+from .model import Trace, ViolationKind, ViolationReport
 from .runtime import IterationResult, IterationRunner, SchedulePlan
-from .scheduler import IterationOutcome, default_bound
+from .scheduler import default_bound
 from .shadow import ProgramHandle
-
-_VIOLATION_OF_OUTCOME = {
-    IterationOutcome.DEADLOCK: ViolationKind.DEADLOCK,
-    IterationOutcome.LIVELOCK_CANDIDATE: ViolationKind.LIVELOCK,
-    IterationOutcome.DATA_RACE: ViolationKind.DATA_RACE,
-}
 
 
 def format_trace(trace: Trace) -> str:
@@ -77,7 +75,6 @@ class TraceSink:
         self.file_prefix = file_prefix
         self.bound = bound
         self.strict_races = strict_races
-        self.violations: list[ViolationReport] = []
         self._open: dict[int, list[int]] = {}
 
     def record_step(self, iteration: int, tid: int) -> None:
@@ -105,7 +102,7 @@ class TraceSink:
         name: str | None = None
         violation: ViolationReport | None = None
 
-        kind = _VIOLATION_OF_OUTCOME.get(result.outcome)
+        kind = result.violation_kind
         if kind is not None:
             race = kind is ViolationKind.DATA_RACE
             name = self.file_prefix + (
@@ -130,13 +127,12 @@ class TraceSink:
             decisions.write_text("".join(d.debug_line() + "\n" for d in result.decisions))
         if violation is not None:
             violation.validate()
-            self.violations.append(violation)
         return violation
 
-    def write_report(self) -> Path:
+    def write_report(self, violations: list[ViolationReport]) -> Path:
         """Write ``report.txt``: a header with the timestamp, the depth
         bound (when known) and ``races=strict`` under strict race
-        detection, plus one line per violation."""
+        detection, plus one line per violation in ``violations``."""
         import datetime
 
         header = f"# generated {datetime.datetime.now().isoformat()}"
@@ -144,9 +140,7 @@ class TraceSink:
             header += f" bound={self.bound}"
         if self.strict_races:
             header += " races=strict"
-        lines = [header]
-        for v in self.violations:
-            lines.append(summary_line(v))
+        lines = [header, *map(summary_line, violations)]
         path = self.out_dir / "report.txt"
         path.write_text("".join(line + "\n" for line in lines))
         return path
@@ -176,19 +170,6 @@ def summary_line(v: ViolationReport) -> str:
     return f"{v.kind.value} iteration={v.iteration} trace={v.trace_file}"
 
 
-@dataclass
-class ReplayReport:
-    """Result of re-driving a program along a recorded schedule."""
-
-    outcome: IterationOutcome
-    trace: Trace
-    op_log: list[VisibleOp]
-    violation_kind: ViolationKind | None = None
-
-    def op_log_text(self) -> str:
-        return "".join(op.to_wire() + "\n" for op in self.op_log)
-
-
 def replay(
     program: ProgramHandle,
     trace: Trace,
@@ -196,8 +177,9 @@ def replay(
     bound: int | None = None,
     race_enabled: bool = True,
     strict_races: bool = False,
-) -> ReplayReport:
-    """Drive the scheduler through exactly the trace's steps, then run free.
+) -> IterationResult:
+    """Drive the scheduler through exactly the trace's steps, then run free;
+    returns the runner's result.
 
     For a violation trace the violation fires at (or immediately after)
     the recorded steps; a clean trace simply completes its execution. A
@@ -206,17 +188,10 @@ def replay(
     ``bound`` the program's default applies, as in an exploration that
     names none.
     """
-    runner = IterationRunner(
+    return IterationRunner(
         program,
         bound=default_bound(program) if bound is None else bound,
         plan=SchedulePlan(replay=list(trace.steps)),
         race_enabled=race_enabled,
         strict_races=strict_races,
-    )
-    result = runner.run()
-    return ReplayReport(
-        outcome=result.outcome,
-        trace=result.trace,
-        op_log=result.op_log,
-        violation_kind=_VIOLATION_OF_OUTCOME.get(result.outcome),
-    )
+    ).run()

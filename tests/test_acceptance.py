@@ -225,7 +225,7 @@ def test_criterion_6_replay_determinism(deadlock_run, race_run, livelock_run):
             first = replay(program, recorded, bound=bound)
             second = replay(program, recorded, bound=bound)
             assert first.violation_kind is violation.kind, violation.trace_file
-            assert first.op_log_text() == second.op_log_text()
+            assert first.op_log == second.op_log
             checked += 1
     _verdict(6, checked > 0, f"{checked} violation traces replayed, kinds and logs stable")
 

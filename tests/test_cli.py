@@ -122,7 +122,7 @@ def test_check_against_a_tcp_worker(tmp_path):
                 r,
                 w,
                 get_program("deadlock-two-mutexes"),
-                ExplorationConfig(out_dir=tmp_path / "worker", node_id=1),
+                ExplorationConfig(out_dir=tmp_path / "worker"),
             )
 
     thread = threading.Thread(target=worker, daemon=True)
@@ -187,9 +187,9 @@ def test_a_worker_report_missing_a_field_exits_usage(tmp_path, capsys):
     def worker():
         conn, _ = server.accept()
         with conn, conn.makefile("r") as r, conn.makefile("w") as w:
-            w.write("HELLO 1\n")
+            w.write("HELLO\n")
             w.flush()
-            count = int(r.readline().split()[1])
+            count = int(r.readline().split()[2])
             for _ in range(count):
                 r.readline()
             w.write('DONE 0\n{"node_id": 1, "bound_warnings": 0, "points_explored": 0,'

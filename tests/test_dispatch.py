@@ -103,13 +103,13 @@ def test_decode_rejects_malformed_records():
 
 def test_non_numeric_counts_are_rejected(tmp_path):
     with pytest.raises(DispatchError, match="'DONE x'"):
-        send_workload(io.StringIO("HELLO 1\nDONE x\n"), io.StringIO(), Workload(node_id=1))
-    with pytest.raises(DispatchError, match="'WORKLOAD -1'"):
+        send_workload(io.StringIO("HELLO\nDONE x\n"), io.StringIO(), Workload(node_id=1))
+    with pytest.raises(DispatchError, match="'WORKLOAD 1 -1'"):
         serve_worker(
-            io.StringIO("WORKLOAD -1\n"),
+            io.StringIO("WORKLOAD 1 -1\n"),
             io.StringIO(),
             get_program("spin-flag"),
-            ExplorationConfig(out_dir=tmp_path, node_id=1),
+            ExplorationConfig(out_dir=tmp_path),
         )
 
 
@@ -122,7 +122,7 @@ GOOD_REPORT = (
 
 def _scripted_worker_report(report_line: str):
     """The master's side of a link whose worker sends ``report_line`` as its report."""
-    script = io.StringIO(f"HELLO 1\nDONE 0\n{report_line}\n")
+    script = io.StringIO(f"HELLO\nDONE 0\n{report_line}\n")
     return send_workload(script, io.StringIO(), Workload(node_id=1))
 
 
@@ -190,10 +190,8 @@ def test_wire_protocol_round_trip(tmp_path):
     points = Explorer(program, master).explore_initial()
     assert points
     workload = Workload(node_id=1, points=points)
-    report = _run_protocol(
-        workload, program, ExplorationConfig(out_dir=tmp_path, node_id=1)
-    )
-    assert report.node_id == 1
+    report = _run_protocol(workload, program, ExplorationConfig(out_dir=tmp_path))
+    assert report.node_id == 1  # the workload header's, not the worker's config
     assert report.iterations_run >= 1
     kinds = {v.kind for v in report.violations}
     assert ViolationKind.DEADLOCK in kinds
@@ -203,7 +201,7 @@ def test_wire_protocol_with_empty_workload(tmp_path):
     report = _run_protocol(
         Workload(node_id=2),
         get_program("two-writes-independent"),
-        ExplorationConfig(out_dir=tmp_path, node_id=2),
+        ExplorationConfig(out_dir=tmp_path),
     )
     assert report.iterations_run == 0
     assert report.violations == []
@@ -217,7 +215,7 @@ def test_worker_over_tcp(tmp_path):
     def worker():
         conn, _ = server.accept()
         with conn, conn.makefile("r") as r, conn.makefile("w") as w:
-            serve_worker(r, w, program, ExplorationConfig(out_dir=tmp_path, node_id=1))
+            serve_worker(r, w, program, ExplorationConfig(out_dir=tmp_path))
 
     thread = threading.Thread(target=worker, daemon=True)
     thread.start()

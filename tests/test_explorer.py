@@ -1,15 +1,15 @@
+import random
+
 import pytest
 
 from shadowcheck import Api, BacktrackPoint, ProgramHandle
 from shadowcheck.dispatch import encode_point
 from shadowcheck.explorer import BacktrackStore, ExplorationConfig, Explorer, explore
-from shadowcheck.corpus import get_program
-from shadowcheck.model import AccessKind, ObjectId, ThreadId, Token, make_visible_op
+from shadowcheck.corpus import PROGRAMS, get_program
 from shadowcheck.scheduler import IterationOutcome
 
-
-def w_op(tid, oid):
-    return make_visible_op(Token.WAITING, ThreadId(tid), AccessKind.WRITE, ObjectId(oid))
+from _shadow_ports import to_program
+from oracle import random_program
 
 
 def seeded_store(points):
@@ -46,17 +46,9 @@ def test_select_on_empty_store_signals_end():
 
 def test_branch_picks_min_tid_and_deletes_when_spent():
     store = seeded_store([point([0], 1, {2})])
-    chosen = store.take_branch(store.select_point(), {2: w_op(2, 0)})
+    chosen = store.take_branch(store.select_point())
     assert chosen == 2
     assert store.select_point() is None
-
-
-def test_branch_keeps_a_still_conflicting_remainder():
-    store = seeded_store([point([0], 1, {1, 2, 3})])
-    live_ops = {1: w_op(1, 5), 2: w_op(2, 5), 3: w_op(3, 5)}
-    assert store.take_branch(store.select_point(), live_ops) == 1
-    survivor = store.select_point()
-    assert survivor is not None and survivor.pending == {2, 3}
 
 
 def test_branch_keeps_a_pairwise_independent_remainder():
@@ -64,21 +56,14 @@ def test_branch_keeps_a_pairwise_independent_remainder():
     # rest of the point still conflicts: an iteration aborted by a race
     # may never execute the step that would bank it again.
     store = seeded_store([point([0], 1, {1, 2, 3})])
-    live_ops = {1: w_op(1, 5), 2: w_op(2, 6), 3: w_op(3, 7)}
-    assert store.take_branch(store.select_point(), live_ops) == 1
+    assert store.take_branch(store.select_point()) == 1
     survivor = store.select_point()
     assert survivor is not None and survivor.pending == {2, 3}
 
 
-def test_branch_clears_a_remainder_whose_thread_is_not_live():
-    store = seeded_store([point([0], 1, {1, 2, 3})])
-    assert store.take_branch(store.select_point(), {1: w_op(1, 5), 2: w_op(2, 5)}) == 1
-    assert store.select_point() is None
-
-
 def test_exhausted_branches_never_resurrect():
     store = seeded_store([point([0], 1, {1})])
-    store.take_branch(store.select_point(), {1: w_op(1, 0)})
+    store.take_branch(store.select_point())
     store.absorb_state((0,), 1, {1, 2}, scheduled=2, iteration=4)
     survivor = store.select_point()
     assert survivor is None  # both 1 (branched) and 2 (scheduled) are done
@@ -86,15 +71,14 @@ def test_exhausted_branches_never_resurrect():
 
 def test_pending_only_shrinks_per_branch():
     store = seeded_store([point([0], 1, {1, 2, 3})])
-    live_ops = {1: w_op(1, 5), 2: w_op(2, 5), 3: w_op(3, 5)}
     before = len(store.select_point().pending)
-    store.take_branch(store.select_point(), live_ops)
+    store.take_branch(store.select_point())
     after_point = store.select_point()
     assert after_point is not None and len(after_point.pending) == before - 1
-    store.take_branch(after_point, live_ops)
+    store.take_branch(after_point)
     last = store.select_point()
     assert last is not None and last.pending == {3}  # a singleton remainder is kept
-    store.take_branch(last, live_ops)
+    store.take_branch(last)
     assert store.select_point() is None
 
 
@@ -134,7 +118,7 @@ def test_flush_leaves_no_stale_tail(tmp_path, later_run):
         store.seed([point([0], 1, {1})])
     else:
         for _ in range(2):
-            store.take_branch(store.select_point(), {})
+            store.take_branch(store.select_point())
     store.flush()
     (only,) = store.live_points()
     assert path.read_bytes() == (encode_point(only) + "\n").encode()
@@ -290,3 +274,58 @@ def test_iterations_that_bank_nothing_do_no_dpor_work(tmp_path, monkeypatch):
     for outcome in unbanked:
         assert work[outcome] and set(work[outcome]) == {0}, outcome
     assert all(sum(work[o]) > 0 for o in work if o not in unbanked)
+
+
+MODES = {
+    "races": {},
+    "no-race": {"race_enabled": False},
+    "strict": {"strict_races": True},
+    "no-dpor": {"dpor_enabled": False},
+}
+
+
+def _check_banked_branches_are_enabled(monkeypatch) -> list[int]:
+    """After each ``_bank``, check every point left owing a branch at a state
+    of the banking iteration's trace: each thread it owes was enabled there.
+    A state is a function of its prefix, so every such branch can be forced.
+    Returns, per banking iteration, how many owed threads it checked."""
+    bank = Explorer._bank
+    checked = []
+
+    def checking_bank(explorer, result, iteration, replayed):
+        stores = (explorer.store, explorer._hand_back)
+        before = {id(p): set(p.pending) for store in stores for p in store.live_points()}
+        bank(explorer, result, iteration, replayed)
+        steps, log = result.trace.steps, result.log.steps
+        owed = 0
+        for store in stores:
+            for p in store.live_points():
+                on_trace = p.depth < len(log) and p.prefix == tuple(steps[: p.depth])
+                # A point this iteration banked a thread at lies on its trace.
+                assert on_trace or p.pending <= before.get(id(p), set()), p
+                if on_trace:
+                    assert p.pending <= log[p.depth].enabled, p
+                    owed += len(p.pending)
+        checked.append(owed)
+
+    monkeypatch.setattr(Explorer, "_bank", checking_bank)
+    return checked
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_every_banked_branch_names_an_enabled_thread(name, mode, tmp_path, monkeypatch):
+    checked = _check_banked_branches_are_enabled(monkeypatch)
+    bound = 18 if name == "livelock-philosophers" else None
+    explore(get_program(name), ExplorationConfig(out_dir=tmp_path, bound=bound, **MODES[mode]))
+    assert checked
+
+
+def test_every_banked_branch_names_an_enabled_thread_on_random_programs(tmp_path, monkeypatch):
+    checked = _check_banked_branches_are_enabled(monkeypatch)
+    rng = random.Random(23)
+    modes = list(MODES.values())
+    for i in range(25):
+        program = to_program(random_program(rng), f"random-{i}")
+        explore(program, ExplorationConfig(out_dir=tmp_path / str(i), **modes[i % len(modes)]))
+    assert sum(checked) > 0

@@ -91,7 +91,7 @@ def test_backtrack_point_invariants():
 
 
 def test_violation_report_race_detail_rules():
-    trace = Trace(steps=[0, 0], iteration=0)
+    trace = Trace(steps=[0, 0])
     ViolationReport(
         kind=ViolationKind.DATA_RACE,
         iteration=0,

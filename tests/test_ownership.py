@@ -129,6 +129,36 @@ def test_a_race_banks_each_racer_once_at_its_latest_state(tmp_path):
     assert [(p.depth, p.pending) for p in explorer.store.live_points()] == [(4, {1}), (3, {2})]
 
 
+def _check_over_tcp(program, config: ExplorationConfig, nodes: int):
+    """``check_remote`` against ``nodes`` TCP ``serve_worker`` listeners that
+    all take ``config``, out directory included, as their own."""
+    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(nodes)]
+    failures: list[Exception] = []
+
+    def worker(server) -> None:
+        try:
+            conn, _ = server.accept()
+            with conn, conn.makefile("r") as rfile, conn.makefile("w") as wfile:
+                serve_worker(rfile, wfile, program, config)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(server,), daemon=True) for server in servers]
+    for thread in threads:
+        thread.start()
+    addresses = [f"127.0.0.1:{server.getsockname()[1]}" for server in servers]
+    try:
+        report = check_remote(program, config, addresses)
+    finally:
+        for thread in threads:
+            thread.join(timeout=60)
+        for server in servers:
+            server.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    return report
+
+
 def test_remote_workers_hand_points_back_over_tcp(tmp_path):
     program = to_program(HANDED_BACK, "handed-back")
     local = check_distributed(
@@ -137,34 +167,25 @@ def test_remote_workers_hand_points_back_over_tcp(tmp_path):
     master_files = [p for p in _step_lists_by_name(tmp_path / "local") if not p.startswith("node")]
     assert len(master_files) == 2  # iteration 0, then one point handed back
 
-    servers = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
-    failures: list[Exception] = []
-
-    def worker(server, node_id: int) -> None:
-        config = ExplorationConfig(out_dir=tmp_path / "remote", node_id=node_id)
-        try:
-            conn, _ = server.accept()
-            with conn, conn.makefile("r") as rfile, conn.makefile("w") as wfile:
-                serve_worker(rfile, wfile, program, config)
-        except Exception as exc:
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=worker, args=(server, k + 1), daemon=True)
-        for k, server in enumerate(servers)
-    ]
-    for thread in threads:
-        thread.start()
-    addresses = [f"127.0.0.1:{server.getsockname()[1]}" for server in servers]
-    remote = check_remote(program, ExplorationConfig(out_dir=tmp_path / "remote"), addresses)
-    for thread in threads:
-        thread.join(timeout=60)
-    for server in servers:
-        server.close()
-
-    assert not any(thread.is_alive() for thread in threads)
-    assert not failures
+    remote = _check_over_tcp(program, ExplorationConfig(out_dir=tmp_path / "remote"), 2)
     single = check_distributed(program, ExplorationConfig(out_dir=tmp_path / "single"))
     assert remote.iterations_run == local.iterations_run == single.iterations_run == 4
     assert sorted(_violations(remote)) == sorted(_violations(local))
     assert set(_violations(remote)) == set(_violations(single))
+
+
+def test_tcp_workers_sharing_an_out_dir_keep_their_traces_apart(tmp_path):
+    # Both listeners and the master write to one directory. The master
+    # numbers the workers in the workload header, so their trace files
+    # carry distinct prefixes and none overwrites another.
+    remote = _check_over_tcp(
+        get_program("livelock-philosophers"), ExplorationConfig(out_dir=tmp_path, bound=18), 2
+    )
+    names = [v.trace_file for v in remote.violations]
+    assert len(set(names)) == len(names) == 10
+    assert {name.partition("_")[0] for name in names if name.startswith("node")} == {
+        "node1",
+        "node2",
+    }
+    for v in remote.violations:
+        assert parse_trace(tmp_path / "traces" / v.trace_file).steps == v.trace.steps

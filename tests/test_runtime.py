@@ -79,6 +79,31 @@ def test_teardown_does_not_wait_for_a_thread_stuck_outside_the_api():
         release.set()
 
 
+def test_a_registration_after_teardown_unwinds_past_except_exception():
+    # The main thread is stuck outside the API until the run has timed out
+    # and torn down; its registration then unwinds the thread, and the
+    # program's own ``except Exception`` does not swallow that.
+    release, done = threading.Event(), threading.Event()
+    swallowed = []
+
+    def entry(api: Api) -> None:
+        release.wait(10)
+        try:
+            api.register_shared(0)
+        except Exception as exc:
+            swallowed.append(exc)
+        finally:
+            done.set()
+
+    try:
+        with pytest.raises(ProtocolError, match="made no progress"):
+            run_once(entry, hang_timeout=0.3)
+    finally:
+        release.set()
+    assert done.wait(10)
+    assert swallowed == []
+
+
 def _raising(a: Api) -> None:
     raise ProgramBug("earlier run")
 
@@ -261,7 +286,7 @@ def test_a_forced_branch_that_cannot_run_raises():
         api.mutex_unlock(m)
         api.join(child)
 
-    plan = SchedulePlan(replay=[0, 0], pick_branch=lambda ops: 1)
+    plan = SchedulePlan(replay=[0, 0], branch=1)
     with pytest.raises(ReplayDivergenceError) as err:
         run_once(entry, plan=plan, race_enabled=False, hang_timeout=10.0)
     assert err.value.step_index == 2

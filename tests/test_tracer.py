@@ -18,7 +18,7 @@ def result_with(outcome, steps, iteration=0, race_detail=None):
     return IterationResult(
         iteration=iteration,
         outcome=outcome,
-        trace=Trace(steps=list(steps), iteration=iteration),
+        trace=Trace(steps=list(steps)),
         decisions=[],
         race_detail=race_detail,
     )
@@ -104,8 +104,10 @@ def test_clean_traces_kept_on_request(tmp_path):
 
 def test_report_lines(tmp_path):
     sink = TraceSink(tmp_path)
-    sink.close_iteration(result_with(IterationOutcome.DEADLOCK, [0, 0, 1, 2], iteration=1))
-    sink.close_iteration(
+    deadlock = sink.close_iteration(
+        result_with(IterationOutcome.DEADLOCK, [0, 0, 1, 2], iteration=1)
+    )
+    race = sink.close_iteration(
         result_with(
             IterationOutcome.DATA_RACE,
             [0, 0],
@@ -113,13 +115,13 @@ def test_report_lines(tmp_path):
             race_detail=RaceDetail(ObjectId(2), 1, 1),
         )
     )
-    report = sink.write_report().read_text().splitlines()
+    report = sink.write_report([deadlock, race]).read_text().splitlines()
     assert report[0].startswith("# generated ")
     assert report[1] == "deadlock iteration=1 trace=bt_1_deadlock"
     assert report[2] == (
         "data-race iteration=4 object=2 readers=1 writers=1 trace=data_race4"
     )
-    assert summary_line(sink.violations[0]) == report[1]
+    assert summary_line(deadlock) == report[1]
 
 
 def test_replay_reproduces_the_deadlock(tmp_path):
@@ -142,8 +144,8 @@ def test_replay_twice_is_byte_identical(tmp_path):
     first = replay(program, recorded)
     second = replay(program, recorded)
     assert first.violation_kind is ViolationKind.DATA_RACE
-    assert first.op_log_text() == second.op_log_text()
-    assert first.op_log_text()  # non-empty log
+    assert first.op_log == second.op_log
+    assert first.op_log  # non-empty log
 
 
 def test_replay_canonical_race_trace_reproduces_the_race(tmp_path):
