@@ -51,6 +51,18 @@ def test_branch_picks_min_tid_and_deletes_when_spent():
     assert store.select_point() is None
 
 
+def test_branch_keeps_a_still_conflicting_remainder():
+    # The branch's own iteration revisits the state and banks its still
+    # conflicting ops again: the remainder stays owed and the taken
+    # thread is not owed twice.
+    store = seeded_store([point([0], 1, {1, 2, 3})])
+    assert store.take_branch(store.select_point()) == 1
+    store.absorb_state((0,), 1, {1, 2, 3}, scheduled=1, iteration=2)
+    survivor = store.select_point()
+    assert survivor is not None and survivor.pending == {2, 3}
+    assert survivor.done == {1}
+
+
 def test_branch_keeps_a_pairwise_independent_remainder():
     # A look-back addition owes its thread a branch whether or not the
     # rest of the point still conflicts: an iteration aborted by a race
